@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from stokes0d import (SingularMatrixError, TripletMatrix, compress,
+from stokes0d import (SingularMatrixError, TripletMatrix, build_case, compress,
                       factorize, solve)
+
+
+def normwise_backward_error(a, x, b):
+    """||Ax - b|| / (||A|| ||x|| + ||b||) in the infinity norm."""
+    anorm = np.max(abs(a).sum(axis=1))
+    return np.max(np.abs(a @ x - b)) / (anorm * np.max(np.abs(x)) + np.max(np.abs(b)))
 
 
 def test_duplicate_entries_sum():
@@ -108,3 +117,46 @@ def test_singular_dense_duplicated_column():
 def test_nonsquare_rejected():
     with pytest.raises(ValueError):
         factorize(compress(TripletMatrix(2, 3)))
+
+
+def test_singular_pivot_in_callers_numbering():
+    # chain 0-2-3-4 with row/col 1 empty; the symmetric ordering moves row 1
+    t = TripletMatrix(5, 5)
+    t.extend([0, 2, 3, 4], [0, 2, 3, 4], [4.0] * 4)
+    t.extend([0, 2, 2, 3, 3, 4], [2, 0, 3, 2, 4, 3], [1.0] * 6)
+    a = t.compress().to_scipy()
+    perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
+    assert perm[1] != 1
+    with pytest.raises(SingularMatrixError) as err:
+        factorize(a)
+    assert err.value.pivot == 1
+
+
+def test_tiny_diagonal_falls_back_to_partial_pivoting():
+    # keeping the diagonal pivots of this matrix gives backward error 2e-4
+    rng = np.random.default_rng(30)
+    n = 6
+    a = sp.random(n, n, density=0.2, random_state=rng, format="csc")
+    a = (a + sp.diags(10.0 ** rng.uniform(-18, 0, n))).tocsc()
+    b = rng.standard_normal(n)
+    f = factorize(a)
+    assert f.perm is None
+    assert normwise_backward_error(a, f.solve(b), b) <= 1e-14
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def stage1_solver_50x10(request):
+    return build_case(request.param, nx=50, ny=10).system.step1_solver(0.01)
+
+
+def test_stage1_keeps_symmetric_ordering(stage1_solver_50x10):
+    f = stage1_solver_50x10.factorization
+    assert f.perm is not None
+    b = np.random.default_rng(1).standard_normal(f.n)
+    assert normwise_backward_error(stage1_solver_50x10.matrix.to_scipy(), f.solve(b), b) <= 1e-14
+
+
+def test_stage1_fill_below_default_ordering(stage1_solver_50x10):
+    lu = stage1_solver_50x10.factorization._lu
+    ref = spla.splu(stage1_solver_50x10.matrix.to_scipy().tocsc())
+    assert lu.L.nnz + lu.U.nnz <= 0.75 * (ref.L.nnz + ref.U.nnz)

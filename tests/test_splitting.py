@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stokes0d import (StepConfig, advance, build_case, run, step1, step2)
+from stokes0d import (StepConfig, advance, build_case, params_for, run, step1,
+                      step2)
 from stokes0d.analysis import energy_report, step1_energy_residual
+
+
+def normwise_backward_error(a, x, b):
+    """||Ax - b|| / (||A|| ||x|| + ||b||) in the infinity norm."""
+    anorm = np.max(abs(a).sum(axis=1))
+    return np.max(np.abs(a @ x - b)) / (anorm * np.max(np.abs(x)) + np.max(np.abs(b)))
 
 
 def coarse_case(example=1, **kw):
@@ -82,6 +90,34 @@ def test_step1_energy_identity_with_forcing():
         _, _, rel = step1_energy_residual(case.system, state, mid, 0.01)
         assert rel <= 1e-8
         state = step2(case.system, mid, 0.01, 5)
+
+
+@settings(max_examples=25, deadline=None)
+# without the fallback, diagonal pivots leave an identity residual of 6e-8 here
+@example(example=2, log_rho=-3.0, log_mu=-3.0, log_dt=3.0)
+@given(example=st.sampled_from([1, 2, 3]),
+       log_rho=st.floats(-3, 3), log_mu=st.floats(-3, 3), log_dt=st.floats(-4, 3))
+def test_step1_identity_and_solve_accuracy_any_scaling(example, log_rho, log_mu, log_dt):
+    base = params_for(example)
+    params = base.replace(rho=base.rho * 10.0 ** log_rho, mu=base.mu * 10.0 ** log_mu)
+    case = coarse_case(example, params=params)
+    dt = 10.0 ** log_dt
+    solver = case.system.step1_solver(dt)
+    f = solver.factorization
+    solves = []
+
+    def recording_solve(rhs):
+        x = type(f).solve(f, rhs)
+        solves.append((rhs, x))
+        return x
+
+    f.solve = recording_solve
+    state = case.initial_state()
+    mid = step1(case.system, state, dt)
+    _, _, rel = step1_energy_residual(case.system, state, mid, dt)
+    assert rel <= 1e-8
+    (rhs, x), = solves
+    assert normwise_backward_error(solver.matrix.to_scipy(), x, rhs) <= 1e-12
 
 
 def test_step2_preserves_fields_bitwise():
