@@ -15,8 +15,7 @@ from .mesh import (RectDomain, TriangleMesh, BoundaryTag, TagKind,
 from .fem import (StokesSpace, AssembledOperators, build_space,
                   assemble_operators, assemble_body_force, TimeSeparableLoad,
                   interpolate_velocity, interpolate_pressure, l2_norms)
-from .sparse import (TripletMatrix, CompressedMatrix, compress, factorize,
-                     solve, SingularMatrixError)
+from .sparse import factorize, SingularMatrixError
 from .circuits import (Connection, CircuitSpec, CircuitState, eval_B,
                        step2_integrate, example1_circuit, example2_circuit,
                        example3_circuit)
@@ -24,7 +23,7 @@ from .exact import (ExactSolutionSet, example1_exact, example2_exact,
                     example3_exact, exact_for, verify_exact, OracleReport)
 from .splitting import (CoupledSystem, CoupledState, Domain, InterfaceBinding,
                         InterfaceValues, StepConfig, StepRecord,
-                        step1, step2, advance, run)
+                        step1, step2, run)
 from .analysis import (EnergyReport, ErrorReport, Trajectory, Snapshot,
                        snapshot_of, energy_report, step1_energy_residual,
                        periodicity_gap, error_norms, convergence_rate)

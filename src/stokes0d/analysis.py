@@ -104,9 +104,6 @@ class Trajectory:
     system: object
     snapshots: list
 
-    def append_state(self, state) -> None:
-        self.snapshots.append(snapshot_of(state))
-
 
 @dataclass(frozen=True)
 class ErrorReport:

@@ -12,8 +12,8 @@ volumes and momentum fluxes.  The dissipation tensor is
 positive definite B meaning the interior circuit only dissipates.
 
 The `step2_*` routines advance the interior dynamics (A y + s, without b)
-by subcycled implicit Euler with the nonlinear coefficients frozen at the
-start state, which is the second half of the splitting scheme.
+by subcycled implicit Euler with the nonlinear coefficients frozen at each
+substep's start state, which is the second half of the splitting scheme.
 """
 from __future__ import annotations
 
@@ -91,30 +91,25 @@ def energy(spec: CircuitSpec, y, t) -> float:
     return 0.5 * float(y @ (spec.U(y, t) * y))
 
 
-def step2_integrate(spec: CircuitSpec, state: CircuitState, dt2: float, n_sub: int,
-                    freeze: str = "substep") -> CircuitState:
+def step2_integrate(spec: CircuitSpec, state: CircuitState, dt2: float,
+                    n_sub: int) -> CircuitState:
     """Advance the interior dynamics by n_sub implicit-Euler substeps.
 
-    Each substep solves (I - dt2 A(y_ref, t_new)) y_new = y + dt2 s(y_ref, t_new)
-    with t_new the substep end time.  `freeze` selects the reference state
-    for nonlinear coefficients: "substep" uses the substep's start state,
-    "step" pins the state at entry for the whole call.
+    Each substep solves (I - dt2 A(y, t_new)) y_new = y + dt2 s(y, t_new)
+    with t_new the substep end time; nonlinear coefficients are frozen at
+    the substep's start state y.
     """
     if dt2 <= 0:
         raise ValueError("dt2 must be positive")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    if freeze not in ("substep", "step"):
-        raise ValueError(f"freeze must be 'substep' or 'step', got {freeze!r}")
     y = np.array(state.y, dtype=float)
     t = state.t
-    y_pinned = y.copy()
     eye = np.eye(spec.dim)
     for j in range(1, n_sub + 1):
         t_new = state.t + j * dt2
-        y_ref = y_pinned if freeze == "step" else y
-        A = spec.A(y_ref, t_new)
-        rhs = y + dt2 * spec.s(y_ref, t_new)
+        A = spec.A(y, t_new)
+        rhs = y + dt2 * spec.s(y, t_new)
         mat = eye - dt2 * A
         try:
             y = np.linalg.solve(mat, rhs)

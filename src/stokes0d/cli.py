@@ -243,9 +243,10 @@ def cmd_stability(cfg: RunConfig, explicit_pi: bool = False) -> int:
 
 
 def cmd_verify_oracle(cfg: RunConfig) -> int:
+    params = cfg.parameters()
     try:
         case = build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
-                          ny=cfg.ny, params=cfg.parameters())
+                          ny=cfg.ny, params=params)
     except (ValueError, ZeroDivisionError) as err:
         print(f"FAIL parameter_validity: {err}")
         return 1

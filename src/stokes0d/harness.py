@@ -208,11 +208,12 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
         nonlocal e_prev, max_inc, chain_viol, max_resid
         e_mid = total(record.intermediate)
         e_new = total(record.state)
-        max_inc = max(max_inc, e_new - e_prev)
-        chain_viol = max(chain_viol, e_mid - e_prev, e_new - e_mid)
+        # np.max, unlike max, propagates NaN, so a run that blows up fails
+        max_inc = float(np.max([max_inc, e_new - e_prev]))
+        chain_viol = float(np.max([chain_viol, e_mid - e_prev, e_new - e_mid]))
         _, _, rel = step1_energy_residual(system, record.previous,
                                           record.intermediate, config.dt)
-        max_resid = max(max_resid, rel)
+        max_resid = float(np.max([max_resid, rel]))
         e_prev = e_new
 
     splitting.run(system, state, config, n_steps, observers=(on_step,),

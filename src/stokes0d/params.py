@@ -32,7 +32,11 @@ class _CommonParams:
         unknown = [k for k in overrides if k not in {f.name for f in dataclasses.fields(self)}]
         if unknown:
             raise ValueError(f"unknown parameter overrides: {unknown}")
-        return dataclasses.replace(self, **{k: float(v) for k, v in overrides.items()})
+        values = {k: float(v) for k, v in overrides.items()}
+        non_finite = [k for k, v in values.items() if not np.isfinite(v)]
+        if non_finite:
+            raise ValueError(f"non-finite parameter overrides: {non_finite}")
+        return dataclasses.replace(self, **values)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
-"""Sparse triplet assembly, compressed storage and a direct LU solver.
+"""Direct sparse LU solver for scipy sparse matrices, backed by SuperLU.
 
-Thin, deterministic wrappers around scipy.sparse and SuperLU.  The
-time-stepping matrix is constant over a run, so the intended usage is
+The time-stepping matrix is constant over a run, so the intended usage is
 factor once, back-substitute every step.
 """
 from __future__ import annotations
@@ -17,86 +16,6 @@ class SingularMatrixError(RuntimeError):
         self.pivot = pivot
         where = f"pivot index {pivot}" if pivot is not None else "pivot index unknown"
         super().__init__(f"singular {n}x{n} matrix in LU factorization ({where})")
-
-
-class TripletMatrix:
-    """Coordinate-format accumulator; duplicate entries sum on compression."""
-
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self._rows: list = []
-        self._cols: list = []
-        self._vals: list = []
-
-    def add(self, row: int, col: int, value: float) -> None:
-        if not (0 <= row < self.nrows and 0 <= col < self.ncols):
-            raise IndexError(f"entry ({row}, {col}) outside {self.nrows}x{self.ncols}")
-        self._rows.append(row)
-        self._cols.append(col)
-        self._vals.append(value)
-
-    def extend(self, rows, cols, values) -> None:
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if not (len(rows) == len(cols) == len(values)):
-            raise ValueError("rows, cols, values must have equal lengths")
-        if len(rows) and (rows.min() < 0 or rows.max() >= self.nrows
-                          or cols.min() < 0 or cols.max() >= self.ncols):
-            raise IndexError(f"entries outside {self.nrows}x{self.ncols}")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(values)
-
-    def compress(self) -> "CompressedMatrix":
-        return compress(self)
-
-
-class CompressedMatrix:
-    """Compressed-row matrix with sorted column indices per row."""
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self._csr = csr
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ np.asarray(x, dtype=float)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._csr
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-
-def compress(t: TripletMatrix) -> CompressedMatrix:
-    if t._rows:
-        rows = np.concatenate([np.atleast_1d(r) for r in t._rows])
-        cols = np.concatenate([np.atleast_1d(c) for c in t._cols])
-        vals = np.concatenate([np.atleast_1d(v) for v in t._vals])
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0)
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(t.nrows, t.ncols))
-    return CompressedMatrix(coo.tocsr())
 
 
 def _locate_zero_pivot(a: sp.csc_matrix) -> int | None:
@@ -192,8 +111,6 @@ def factorize(a) -> LUFactorization:
     COLAMD with partial pivoting (scipy's default) when that fails its check.
     Pivot indices in SingularMatrixError refer to `a` as given.
     """
-    if isinstance(a, CompressedMatrix):
-        a = a.to_scipy()
     a = sp.csc_matrix(a)
     nr, nc = a.shape
     if nr != nc:
@@ -208,7 +125,3 @@ def factorize(a) -> LUFactorization:
             raise SingularMatrixError(_locate_zero_pivot(a), nr) from err
         raise
     return LUFactorization(lu, nr)
-
-
-def solve(f: LUFactorization, rhs: np.ndarray) -> np.ndarray:
-    return f.solve(rhs)

@@ -21,10 +21,11 @@ The stage-1 matrix does not depend on time, so it is factorized once per
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import sparse
 from .circuits import CircuitState, step2_integrate
@@ -67,18 +68,11 @@ class CoupledState:
     interfaces: dict            # interface_id -> InterfaceValues
     t: float
 
-    def copy(self) -> "CoupledState":
-        return CoupledState([v.copy() for v in self.velocities],
-                            [p.copy() for p in self.pressures],
-                            [y.copy() for y in self.ys],
-                            dict(self.interfaces), self.t)
-
 
 @dataclass(frozen=True)
 class StepConfig:
     dt: float
     s_sub: int = 1
-    freeze: str = "substep"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -165,15 +159,15 @@ class _Step1Solver:
             off += 2
         self.n = off
 
-        trip = sparse.TripletMatrix(self.n, self.n)
+        blocks = []   # (rows, cols, values) of each block
         for d, dom in enumerate(system.domains):
             free = dom.space.free
             vo, po = self.v_off[d], self.p_off[d]
             Avv = ((dom.rho / dt) * self.Mff[d] + dom.mu * self.Kff[d]).tocoo()
-            trip.extend(vo + Avv.row, vo + Avv.col, Avv.data)
+            blocks.append((vo + Avv.row, vo + Avv.col, Avv.data))
             Df = dom.ops.D.tocsr()[:, free].tocoo()
-            trip.extend(po + Df.row, vo + Df.col, Df.data)          # continuity
-            trip.extend(vo + Df.col, po + Df.row, -Df.data)         # -D^T p
+            blocks.append((po + Df.row, vo + Df.col, Df.data))      # continuity
+            blocks.append((vo + Df.col, po + Df.row, -Df.data))     # -D^T p
         for b, binding in enumerate(system.bindings):
             d = binding.domain_index
             dom = system.domains[d]
@@ -183,15 +177,15 @@ class _Step1Solver:
             nz = np.nonzero(phi)[0]
             R = binding.connection.resistance
             C = binding.connection.capacitance
-            trip.extend(vo + nz, np.full(len(nz), self.q_off[b]), R * phi[nz])
+            qo, pio = self.q_off[b], self.pi_off[b]
+            blocks.append((vo + nz, np.full(len(nz), qo), R * phi[nz]))
             if not explicit_pi:
-                trip.extend(vo + nz, np.full(len(nz), self.pi_off[b]), phi[nz])
-            trip.extend(np.full(len(nz), self.q_off[b]), vo + nz, -phi[nz])
-            trip.add(self.q_off[b], self.q_off[b], 1.0)
-            trip.add(self.pi_off[b], self.q_off[b], -dt / C)
-            trip.add(self.pi_off[b], self.pi_off[b], 1.0)
+                blocks.append((vo + nz, np.full(len(nz), pio), phi[nz]))
+            blocks.append((np.full(len(nz), qo), vo + nz, -phi[nz]))
+            blocks.append(([qo, pio, pio], [qo, qo, pio], [1.0, -dt / C, 1.0]))
 
-        self.matrix = trip.compress()
+        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+        self.matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         try:
             self.factorization = sparse.factorize(self.matrix)
         except Exception as err:
@@ -264,34 +258,25 @@ def step1(system: CoupledSystem, state: CoupledState, dt: float,
     return system.step1_solver(dt, explicit_pi).solve(state)
 
 
-def step2(system: CoupledSystem, state: CoupledState, dt: float, s_sub: int,
-          freeze: str = "substep") -> CoupledState:
+def step2(system: CoupledSystem, state: CoupledState, dt: float,
+          s_sub: int) -> CoupledState:
     """Stage 2: interior circuit dynamics; velocities and pressures are
     reused as-is (bitwise), only circuit states and the clock move."""
     ys = []
     for spec, y in zip(system.circuits, state.ys):
-        cs = step2_integrate(spec, CircuitState(y, state.t), dt / s_sub, s_sub,
-                             freeze=freeze)
+        cs = step2_integrate(spec, CircuitState(y, state.t), dt / s_sub, s_sub)
         ys.append(cs.y)
     return CoupledState(state.velocities, state.pressures, ys,
                         state.interfaces, state.t + dt)
-
-
-def advance(system: CoupledSystem, state: CoupledState, config: StepConfig,
-            explicit_pi: bool = False) -> CoupledState:
-    mid = step1(system, state, config.dt, explicit_pi)
-    return step2(system, mid, config.dt, config.s_sub, config.freeze)
 
 
 @dataclass
 class StepRecord:
     """Everything observers may want after one global step."""
     step: int
-    system: CoupledSystem
     previous: CoupledState
     intermediate: CoupledState
     state: CoupledState
-    _energy: object = field(default=None, repr=False)
 
     @property
     def t(self) -> float:
@@ -305,22 +290,17 @@ class StepRecord:
     def ys(self) -> list:
         return self.state.ys
 
-    def energy(self):
-        if self._energy is None:
-            from .analysis import energy_report
-            self._energy = energy_report(self.system, self.state)
-        return self._energy
-
 
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
         n_steps: int, observers=(), explicit_pi: bool = False) -> CoupledState:
-    """Apply `advance` n_steps times, invoking observers after each step."""
+    """Apply step1 then step2 n_steps times, invoking observers after each
+    step."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     for n in range(n_steps):
         mid = step1(system, state, config.dt, explicit_pi)
-        new = step2(system, mid, config.dt, config.s_sub, config.freeze)
-        record = StepRecord(n, system, state, mid, new)
+        new = step2(system, mid, config.dt, config.s_sub)
+        record = StepRecord(n, state, mid, new)
         for obs in observers:
             obs(record)
         state = new

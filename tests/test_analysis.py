@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stokes0d import (Example1Params, StepConfig, build_case, convergence_rate,
-                      error_norms, example1_circuit, periodicity_gap,
-                      periods_per_tau, run, run_to_periodicity)
+                      error_norms, example1_circuit, params_for, periodicity_gap,
+                      periods_per_tau, run, run_to_periodicity, stability_run)
 from stokes0d.analysis import Trajectory, energy_report, snapshot_of
 from stokes0d.circuits import energy
 
@@ -185,3 +187,11 @@ def test_run_to_periodicity_max_periods_zero():
     assert not res.converged and res.periods == 0
     assert len(res.series) == 1
     assert res.series[0].energy.e_omega > 0
+
+
+def test_stability_run_fails_when_the_energy_goes_nan():
+    params = dataclasses.replace(params_for(1), R_b=float("nan"))
+    case = build_case(1, nx=8, ny=2, zero_forcing=True, params=params)
+    rep = stability_run(case, 1.0, 3)
+    assert np.isnan(rep.max_increase) and np.isnan(rep.chain_violation)
+    assert not rep.passed()

@@ -136,14 +136,6 @@ def test_step2_energy_decay_unforced(dt2):
         e_prev = e
 
 
-def test_step2_freeze_policies_agree_for_linear():
-    spec = example2_circuit(Example2Params())
-    y0 = np.array([900.0, 800.0, 3.0])
-    a = step2_integrate(spec, CircuitState(y0, 0.0), 0.01, 10, freeze="substep")
-    b = step2_integrate(spec, CircuitState(y0, 0.0), 0.01, 10, freeze="step")
-    assert np.array_equal(a.y, b.y)
-
-
 def test_step2_singular_system_detected():
     spec = CircuitSpec(1, A=lambda y, t: np.array([[2.0]]),
                        U=lambda y, t: np.ones(1),
@@ -160,8 +152,6 @@ def test_step2_input_validation():
         step2_integrate(spec, st, -0.1, 1)
     with pytest.raises(ValueError):
         step2_integrate(spec, st, 0.1, 0)
-    with pytest.raises(ValueError):
-        step2_integrate(spec, st, 0.1, 1, freeze="bogus")
 
 
 def test_connection_validation():

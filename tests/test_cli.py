@@ -147,3 +147,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     rc = main(["verify-oracle", "--config", str(path), "--example", "3"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_override_rejected(tmp_path, capsys, value):
+    for cmd in ("stability", "verify-oracle"):
+        rc = main([cmd, "--example", "1", *COARSE, "--set", f"R_b={value}"])
+        assert rc == 2
+        assert "R_b" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text(emit_config(RunConfig(nx=16, ny=4, overrides={"R_b": float(value)})))
+    rc = main(["stability", "--config", str(path)])
+    assert rc == 2
+    assert "R_b" in capsys.readouterr().err

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stokes0d import (StepConfig, advance, build_case, params_for, run, step1,
-                      step2)
+from stokes0d import StepConfig, build_case, params_for, run, step1, step2
 from stokes0d.analysis import energy_report, step1_energy_residual
 
 
@@ -117,7 +116,42 @@ def test_step1_identity_and_solve_accuracy_any_scaling(example, log_rho, log_mu,
     _, _, rel = step1_energy_residual(case.system, state, mid, dt)
     assert rel <= 1e-8
     (rhs, x), = solves
-    assert normwise_backward_error(solver.matrix.to_scipy(), x, rhs) <= 1e-12
+    assert normwise_backward_error(solver.matrix, x, rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("explicit_pi", [False, True])
+def test_stage1_matrix_matches_block_definition(explicit_pi):
+    # benchmark 2: two domains, each with one binding to the same circuit
+    case = coarse_case(2)
+    dt = 0.01
+    solver = case.system.step1_solver(dt, explicit_pi)
+    x = np.random.default_rng(5).standard_normal(solver.n)
+    expected = np.zeros(solver.n)
+    for d, dom in enumerate(case.system.domains):
+        free = dom.space.free
+        v = x[solver.v_off[d]:solver.v_off[d] + len(free)]
+        p = x[solver.p_off[d]:solver.p_off[d] + dom.space.n_pressure]
+        M = dom.ops.M.tocsr()[free][:, free]
+        K = dom.ops.K.tocsr()[free][:, free]
+        D = dom.ops.D.tocsr()[:, free]
+        expected[solver.v_off[d]:solver.v_off[d] + len(free)] = (
+            dom.rho / dt * (M @ v) + dom.mu * (K @ v) - D.T @ p)
+        expected[solver.p_off[d]:solver.p_off[d] + len(p)] = D @ v
+    for b, binding in enumerate(case.system.bindings):
+        d = binding.domain_index
+        dom = case.system.domains[d]
+        free = dom.space.free
+        vo = solver.v_off[d]
+        phi = dom.ops.flux[binding.interface_id][free]
+        R, C = binding.connection.resistance, binding.connection.capacitance
+        q, pi = x[solver.q_off[b]], x[solver.pi_off[b]]
+        expected[vo:vo + len(free)] += R * q * phi
+        if not explicit_pi:
+            expected[vo:vo + len(free)] += pi * phi
+        expected[solver.q_off[b]] = -phi @ x[vo:vo + len(free)] + q
+        expected[solver.pi_off[b]] = -dt / C * q + pi
+    got = solver.matrix @ x
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_step2_preserves_fields_bitwise():
@@ -157,10 +191,10 @@ def test_run_zero_steps_and_determinism():
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.ys, b.ys))
 
 
-def test_advance_equals_step1_then_step2():
+def test_run_one_step_equals_step1_then_step2():
     case = coarse_case()
     cfg = StepConfig(0.02, 4)
-    s1 = advance(case.system, case.initial_state(), cfg)
+    s1 = run(case.system, case.initial_state(), cfg, 1)
     s2 = step2(case.system, step1(case.system, case.initial_state(), cfg.dt),
                cfg.dt, cfg.s_sub)
     assert all(np.array_equal(x, y) for x, y in zip(s1.velocities, s2.velocities))
@@ -173,7 +207,7 @@ def test_observers_see_each_step():
 
     def obs(record):
         seen.append((record.step, record.t, record.interfaces[(1, 1, 1)].Q,
-                     record.energy().total))
+                     energy_report(case.system, record.state).total))
 
     run(case.system, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
     assert [s[0] for s in seen] == [0, 1, 2]
