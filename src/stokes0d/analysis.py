@@ -6,6 +6,8 @@ viscous dissipation, the resistive interface dissipation sum of R Q^2, the
 circuit dissipation y^T B y and the two forcing terms.  The stage-1 audit
 recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
+`step_energy_audit` gives the energy chain and that residual of one step
+from a single pass over the flow regions.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import eval_B
+from .circuits import energy, eval_B
 from .fem import interpolate_pressure, interpolate_velocity
 
 
@@ -33,20 +35,40 @@ class EnergyReport:
         return self.e_omega + self.e_ups
 
 
+def _mass_products(system, velocities) -> list:
+    return [dom.ops.M @ v for dom, v in zip(system.domains, velocities)]
+
+
+def _kinetic_energy(system, velocities, mass_products) -> float:
+    """(1/2) sum of rho (v, M v) over the flow regions, given the M v."""
+    e = 0.0
+    for dom, v, mv in zip(system.domains, velocities, mass_products):
+        e += 0.5 * dom.rho * float(v @ mv)
+    return e
+
+
+def _stored_energy(system, state) -> float:
+    """(1/2) sum of ||U^{1/2} y||^2 over the circuits."""
+    e = 0.0
+    for spec, y in zip(system.circuits, state.ys):
+        e += energy(spec, y, state.t)
+    return e
+
+
 def energy_report(system, state, dt_fd: float | None = None) -> EnergyReport:
-    e_om = d_om = f_om = 0.0
+    e_om = _kinetic_energy(system, state.velocities,
+                           _mass_products(system, state.velocities))
+    d_om = f_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
-        mv = dom.ops.M @ v
-        e_om += 0.5 * dom.rho * float(v @ mv)
         d_om += dom.mu * float(v @ (dom.ops.K @ v))
         if dom.body_load is not None:
             f_om += float(dom.body_load(state.t) @ v)
         if dom.pbar is not None:
             f_om -= float(dom.pbar(state.t)) * float(dom.ops.sigma @ v)
-    e_up = u_up = f_up = 0.0
+    e_up = _stored_energy(system, state)
+    u_up = f_up = 0.0
     for spec, y in zip(system.circuits, state.ys):
         U = spec.U(y, state.t)
-        e_up += 0.5 * float(y @ (U * y))
         u_up += float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
         f_up += float(spec.s(y, state.t) @ (U * y))
     d_rc = sum(b.connection.resistance * state.interfaces[b.interface_id].Q ** 2
@@ -54,22 +76,11 @@ def energy_report(system, state, dt_fd: float | None = None) -> EnergyReport:
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up, f_om, f_up)
 
 
-def step1_energy_residual(system, previous, intermediate, dt: float):
-    """Both sides of the stage-1 discrete energy identity and their gap.
-
-    With v* and y* the intermediate solution, the scheme satisfies exactly
-
-      (1/dt)(rho ||v*||^2 + ||U^{1/2} y*||^2) + mu ||grad v*||^2 + sum R Q*^2
-        = (1/dt)(rho (v^n, v*) + (y^n)^T U y* ) + forcing power,
-
-    the unhalved-norm form that the stability proof chains through Young's
-    inequality.  Returns (lhs, rhs, relative residual).
-    """
+def _step1_balance(system, previous, intermediate, dt: float, mass_products):
     t_new = previous.t + dt
     lhs = rhs = 0.0
-    for dom, vn, vs in zip(system.domains, previous.velocities,
-                           intermediate.velocities):
-        mvs = dom.ops.M @ vs
+    for dom, vn, vs, mvs in zip(system.domains, previous.velocities,
+                                intermediate.velocities, mass_products):
         lhs += (dom.rho / dt) * float(vs @ mvs) + dom.mu * float(vs @ (dom.ops.K @ vs))
         rhs += (dom.rho / dt) * float(vn @ mvs)
         if dom.body_load is not None:
@@ -84,6 +95,37 @@ def step1_energy_residual(system, previous, intermediate, dt: float):
         lhs += b.connection.resistance * intermediate.interfaces[b.interface_id].Q ** 2
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, rel
+
+
+def step1_energy_residual(system, previous, intermediate, dt: float):
+    """Both sides of the stage-1 discrete energy identity and their gap.
+
+    With v* and y* the intermediate solution, the scheme satisfies exactly
+
+      (1/dt)(rho ||v*||^2 + ||U^{1/2} y*||^2) + mu ||grad v*||^2 + sum R Q*^2
+        = (1/dt)(rho (v^n, v*) + (y^n)^T U y* ) + forcing power,
+
+    the unhalved-norm form that the stability proof chains through Young's
+    inequality.  Returns (lhs, rhs, relative residual).
+    """
+    return _step1_balance(system, previous, intermediate, dt,
+                          _mass_products(system, intermediate.velocities))
+
+
+def step_energy_audit(system, record, dt: float):
+    """(E^{n+1/2}, E^{n+1}, stage-1 identity residual) of one step record.
+
+    The same as the totals of `energy_report` on the intermediate and the new
+    state and the residual of `step1_energy_residual`, with one M v* and one
+    K v* per flow region: stage 2 hands the velocities on unchanged, so both
+    energies share their kinetic part.
+    """
+    mid = record.intermediate
+    mvs = _mass_products(system, mid.velocities)
+    _, _, rel = _step1_balance(system, record.previous, mid, dt, mvs)
+    e_flow = _kinetic_energy(system, mid.velocities, mvs)
+    return (e_flow + _stored_energy(system, mid),
+            e_flow + _stored_energy(system, record.state), rel)
 
 
 @dataclass(frozen=True)

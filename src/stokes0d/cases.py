@@ -92,6 +92,7 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
     if nonlinear and example != 1:
         raise ValueError("only example 1 has a nonlinear variant")
     p = params if params is not None else params_for(example)
+    p.check_circuit_elements()
     exact = exact_for(example, nonlinear=nonlinear, params=p)
 
     domains = []

@@ -141,6 +141,7 @@ def _zero_signal(t):
 def example1_circuit(p: Example1Params, nonlinear: bool,
                      p_tilde: Callable | None = None) -> CircuitSpec:
     """Single connection; state y = [pi_11_1, omega_11] (pressure, volume)."""
+    p.check_circuit_elements()
     pt = p_tilde if p_tilde is not None else _zero_signal
 
     def ra_ca(y):
@@ -173,6 +174,7 @@ def example1_circuit(p: Example1Params, nonlinear: bool,
 def example2_circuit(p: Example2Params, p_tilde: Callable | None = None) -> CircuitSpec:
     """Two connections through one circuit with an inductive branch;
     y = [pi_11_1, pi_21_1, omega_11] (two pressures and a flow rate)."""
+    p.check_circuit_elements()
     pt = p_tilde if p_tilde is not None else _zero_signal
 
     Amat = np.array([
@@ -200,6 +202,7 @@ def example3_circuit(p: Example3Params, p_tilde_a: Callable | None = None,
                      p_tilde_b: Callable | None = None) -> CircuitSpec:
     """Closed circuit, both connections on one domain;
     y = [pi_11_1, pi_11_2, omega_11]."""
+    p.check_circuit_elements()
     pa = p_tilde_a if p_tilde_a is not None else _zero_signal
     pb = p_tilde_b if p_tilde_b is not None else _zero_signal
 

@@ -24,6 +24,8 @@ class _CommonParams:
     s0: float = 2.0           # mean of the periodic drive
     s1: float = 1.0           # amplitude of the periodic drive
 
+    CIRCUIT_ELEMENTS = ()     # names of the resistances, capacitances, inductances
+
     @property
     def tau(self) -> float:
         return 2.0 * np.pi / self.omega
@@ -37,6 +39,14 @@ class _CommonParams:
         if non_finite:
             raise ValueError(f"non-finite parameter overrides: {non_finite}")
         return dataclasses.replace(self, **values)
+
+    def check_circuit_elements(self) -> None:
+        """Reject zero or negative resistances, capacitances and inductances,
+        naming each (non-finite values are `replace`'s to reject)."""
+        bad = [f"{n}={getattr(self, n)}" for n in self.CIRCUIT_ELEMENTS
+               if getattr(self, n) <= 0]
+        if bad:
+            raise ValueError(f"circuit elements must be positive: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,8 @@ class Example1Params(_CommonParams):
     a0: float = 150.0         # pressure profile a0 + a1 exp(-k x)
     a1: float = 1000.0
 
+    CIRCUIT_ELEMENTS = ("R11_1", "C11_1", "Rbar_a", "Cbar_a", "R_b")
+
 
 @dataclass(frozen=True)
 class Example2Params(_CommonParams):
@@ -68,6 +80,8 @@ class Example2Params(_CommonParams):
     a02: float = 75.0         # domain-2 pressure profile
     a12: float = 500.0
 
+    CIRCUIT_ELEMENTS = ("R11_1", "R21_1", "C11_1", "C21_1", "R_a", "R_b", "L_a")
+
 
 @dataclass(frozen=True)
 class Example3Params(_CommonParams):
@@ -81,6 +95,8 @@ class Example3Params(_CommonParams):
     C11_2: float = 0.001
     a0: float = 150.0
     a1: float = 1000.0
+
+    CIRCUIT_ELEMENTS = ("R11_1", "R11_2", "C11_1", "C11_2", "R_a", "R_b", "R_c", "L_c")
 
 
 def params_for(example: int):

@@ -6,7 +6,8 @@ import pytest
 from stokes0d import (Example1Params, StepConfig, build_case, convergence_rate,
                       error_norms, example1_circuit, params_for, periodicity_gap,
                       periods_per_tau, run, run_to_periodicity, stability_run)
-from stokes0d.analysis import Trajectory, energy_report, snapshot_of
+from stokes0d.analysis import (Trajectory, energy_report, snapshot_of,
+                               step1_energy_residual)
 from stokes0d.circuits import energy
 
 
@@ -195,3 +196,40 @@ def test_stability_run_fails_when_the_energy_goes_nan():
     rep = stability_run(case, 1.0, 3)
     assert np.isnan(rep.max_increase) and np.isnan(rep.chain_violation)
     assert not rep.passed()
+
+
+@pytest.fixture(scope="module")
+def unforced_20x4():
+    return {key: coarse_case(key[0], nonlinear=key[1], zero_forcing=True)
+            for key in ((1, False), (1, True), (2, False), (3, False))}
+
+
+@pytest.mark.parametrize("explicit_pi", [False, True])
+@pytest.mark.parametrize("dt", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("key", [(1, False), (1, True), (2, False), (3, False)])
+def test_stability_run_matches_full_energy_reports(unforced_20x4, key, dt, explicit_pi):
+    """The one-pass audit gives the bits of two energy reports and the
+    stage-1 residual per step, folded the same way."""
+    case = unforced_20x4[key]
+    n_steps = 60
+    state = case.initial_state()
+    e0 = energy_report(case.system, state).total
+    fold = {"e_prev": e0, "inc": -np.inf, "chain": -np.inf, "resid": 0.0}
+
+    def audit(record):
+        e_mid = energy_report(case.system, record.intermediate).total
+        e_new = energy_report(case.system, record.state).total
+        _, _, rel = step1_energy_residual(case.system, record.previous,
+                                          record.intermediate, dt)
+        fold["inc"] = float(np.max([fold["inc"], e_new - fold["e_prev"]]))
+        fold["chain"] = float(np.max([fold["chain"], e_mid - fold["e_prev"],
+                                      e_new - e_mid]))
+        fold["resid"] = float(np.max([fold["resid"], rel]))
+        fold["e_prev"] = e_new
+
+    run(case.system, state, StepConfig(dt, case.s_sub), n_steps, observers=(audit,),
+        explicit_pi=explicit_pi)
+    rep = stability_run(case, dt, n_steps, explicit_pi=explicit_pi)
+    expected = [e0, fold["inc"], fold["chain"], fold["resid"]]
+    got = [rep.e0, rep.max_increase, rep.chain_violation, rep.max_identity_residual]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,21 @@ def test_connection_validation():
                     U=lambda y, t: np.ones(2), s=lambda y, t: np.zeros(2),
                     connections=(Connection(1.0, 1.0, 0, (1, 1, 1)),
                                  Connection(1.0, 1.0, 0, (1, 1, 2))))
+
+
+@pytest.mark.parametrize("build, params_type", [
+    (lambda p: example1_circuit(p, nonlinear=False), Example1Params),
+    (lambda p: example1_circuit(p, nonlinear=True), Example1Params),
+    (example2_circuit, Example2Params),
+    (example3_circuit, Example3Params),
+])
+def test_builders_reject_non_positive_elements(build, params_type):
+    names = params_type.CIRCUIT_ELEMENTS
+    # every resistance, capacitance and inductance (L alone is the channel length)
+    assert set(names) == {f.name for f in dataclasses.fields(params_type)
+                          if f.name[0] in "RCL" and f.name != "L"}
+    for name in names:
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name}={value}"):
+                build(params_type(**{name: value}))
+    build(params_type())

@@ -160,3 +160,22 @@ def test_non_finite_override_rejected(tmp_path, capsys, value):
     rc = main(["stability", "--config", str(path)])
     assert rc == 2
     assert "R_b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, override", [
+    ("1", "R_b=0"), ("1", "Cbar_a=-0.01"), ("2", "L_a=0"), ("3", "R_c=-70")])
+def test_non_positive_circuit_element_rejected(tmp_path, capsys, example, override):
+    name = override.split("=")[0]
+    common = ["--example", example, "--nx", "8", "--ny", "2", "--set", override]
+    for argv in (["stability", "--steps", "3", "--dt-list", "1"],
+                 ["simulate", "--dt", "0.5", "--max-periods", "1",
+                  "--out", str(tmp_path / "run")],
+                 ["convergence", "--dt-list", "0.5", "--max-periods", "1"]):
+        rc = main([*argv, *common])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and name in captured.err
+    rc = main(["verify-oracle", *common])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL parameter_validity") and name in out

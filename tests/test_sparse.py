@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from stokes0d import SingularMatrixError, build_case, factorize
+from stokes0d.sparse import TINY_RHS, _permuted_solve
 
 
 def normwise_backward_error(a, x, b):
@@ -109,3 +110,30 @@ def test_stage1_fill_below_default_ordering(stage1_solver_50x10):
     lu = stage1_solver_50x10.factorization._lu
     ref = spla.splu(stage1_solver_50x10.matrix.tocsc())
     assert lu.L.nnz + lu.U.nnz <= 0.75 * (ref.L.nnz + ref.U.nnz)
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def stage1_lu_20x4(request):
+    f = build_case(request.param, nx=20, ny=4).system.step1_solver(0.01).factorization
+    return f, np.random.default_rng(request.param).standard_normal(f.n)
+
+
+def test_tiny_rhs_solve_is_the_scaled_solve(stage1_lu_20x4):
+    f, b = stage1_lu_20x4
+    tiny = np.ldexp(b, -1000)
+    assert np.max(np.abs(tiny)) < TINY_RHS
+    assert f.solve(tiny).tobytes() == np.ldexp(f.solve(b), -1000).tobytes()
+    # with subnormal entries: the solve of the exactly rescaled rhs, rounded once
+    sub = np.ldexp(b, -1060)
+    assert f.solve(sub).tobytes() == np.ldexp(f.solve(np.ldexp(sub, 1060)), -1060).tobytes()
+
+
+def test_normal_rhs_solve_is_not_scaled(stage1_lu_20x4):
+    f, b = stage1_lu_20x4
+    assert f.solve(b).tobytes() == _permuted_solve(f._lu, f.perm, b).tobytes()
+
+
+def test_zero_and_nan_rhs(stage1_lu_20x4):
+    f, _ = stage1_lu_20x4
+    assert not np.any(f.solve(np.zeros(f.n)))
+    assert np.all(np.isnan(f.solve(np.full(f.n, np.nan))))
