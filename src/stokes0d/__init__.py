@@ -26,7 +26,7 @@ from .splitting import (CoupledSystem, CoupledState, Domain, InterfaceBinding,
                         step1, step2, run)
 from .analysis import (EnergyReport, ErrorReport, Trajectory, Snapshot,
                        snapshot_of, energy_report, step1_energy_residual,
-                       periodicity_gap, error_norms, convergence_rate)
+                       error_norms, convergence_rate)
 from .cases import Case, build_case, DEFAULT_SUBSTEPS
 from .harness import (run_to_periodicity, stability_run, convergence_study,
                       peak_errors, periods_per_tau, SimulateResult,

@@ -1,4 +1,4 @@
-"""Discrete energy bookkeeping, periodicity detection and error norms.
+"""Discrete energy bookkeeping, trajectories and error norms.
 
 The energy functionals mirror the balance law of the coupled problem:
 kinetic energy of the flow regions, stored circuit energy (1/2)||U^{1/2}y||^2,
@@ -70,7 +70,7 @@ def energy_report(system, state, dt_fd: float | None = None) -> EnergyReport:
     for spec, y in zip(system.circuits, state.ys):
         U = spec.U(y, state.t)
         u_up += float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
-        f_up += float(spec.s(y, state.t) @ (U * y))
+        f_up += float(spec.s(state.t) @ (U * y))
     d_rc = sum(b.connection.resistance * state.interfaces[b.interface_id].Q ** 2
                for b in system.bindings)
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up, f_om, f_up)
@@ -153,51 +153,6 @@ class ErrorReport:
     err_p: float
     err_y: float
     period_index: Optional[int] = None
-
-
-def periodicity_gap(traj: Trajectory, period_samples: int) -> float:
-    """Relative squared distance between the last two recorded periods.
-
-    A period vector concatenates period_samples + 1 consecutive snapshots;
-    the squared norm of a period vector sums the squared spatial L2 norms
-    (fields) or squared Euclidean norms (circuit states) of its snapshots,
-    and the gap is the max over fields of the ratio of those sums.
-    """
-    n_per = int(period_samples)
-    if n_per < 1:
-        raise ValueError("period_samples must be >= 1")
-    snaps = traj.snapshots
-    if len(snaps) < 2 * n_per + 1:
-        raise ValueError(f"need at least {2 * n_per + 1} snapshots "
-                         f"(two full periods), have {len(snaps)}")
-    cur = snaps[-(n_per + 1):]
-    prev = snaps[-(2 * n_per + 1):-n_per]
-    system = traj.system
-
-    gaps = []
-    for l, dom in enumerate(system.domains):
-        for mat, pick in ((dom.ops.M, lambda s: s.velocities[l]),
-                          (dom.ops.Mp, lambda s: s.pressures[l])):
-            num = den = 0.0
-            for sc, sp in zip(cur, prev):
-                d = pick(sc) - pick(sp)
-                num += float(d @ (mat @ d))
-                den += float(pick(sp) @ (mat @ pick(sp)))
-            if den <= 0.0:
-                raise ZeroDivisionError("previous period has zero norm; "
-                                        "degenerate periodicity reference")
-            gaps.append(num / den)
-    for m in range(len(system.circuits)):
-        num = den = 0.0
-        for sc, sp in zip(cur, prev):
-            d = sc.ys[m] - sp.ys[m]
-            num += float(d @ d)
-            den += float(sp.ys[m] @ sp.ys[m])
-        if den <= 0.0:
-            raise ZeroDivisionError("previous period has zero norm; "
-                                    "degenerate periodicity reference")
-        gaps.append(num / den)
-    return max(gaps)
 
 
 def error_norms(traj: Trajectory, exact, dt: float) -> ErrorReport:

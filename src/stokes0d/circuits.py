@@ -1,6 +1,6 @@
 """Lumped hydraulic circuits: state equations, energy weights, integrator.
 
-A circuit is d(y)/dt = A(y, t) y + s(y, t) + b, where b carries the
+A circuit is d(y)/dt = A(y, t) y + s(t) + b, where b carries the
 flow-rate sources from the attached flow domains (Q_k / C_k at the entry of
 the corresponding node pressure, zero elsewhere).  The diagonal weight
 tensor U makes every row of the system an energy rate: a capacitance for a
@@ -11,8 +11,8 @@ volumes and momentum fluxes.  The dissipation tensor is
 
 positive definite B meaning the interior circuit only dissipates.
 
-The `step2_*` routines advance the interior dynamics (A y + s, without b)
-by subcycled implicit Euler with the nonlinear coefficients frozen at each
+`step2_integrate` advances the interior dynamics (A y + s, without b) by
+subcycled implicit Euler with the nonlinear coefficients frozen at each
 substep's start state, which is the second half of the splitting scheme.
 """
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .params import Example1Params, Example2Params, Example3Params
 
@@ -41,9 +42,11 @@ class Connection:
 @dataclass(frozen=True)
 class CircuitSpec:
     dim: int
-    A: Callable                 # (y, t) -> (dim, dim)
+    A: Callable                 # (y, t) -> (dim, dim); a constant A returns
+                                # one array object, never changed in place
     U: Callable                 # (y, t) -> (dim,) positive diagonal entries
-    s: Callable                 # (y, t) -> (dim,)
+    s: Callable                 # t -> shape(t) + (dim,): generator sources,
+                                # one row per time of an array t
     connections: tuple
     dU_dt: Optional[Callable] = None   # (y, t) -> (dim,), analytic, optional
 
@@ -55,7 +58,7 @@ class CircuitSpec:
             raise ValueError("pi index outside state vector")
 
     def interior_rhs(self, y, t):
-        return self.A(y, t) @ y + self.s(y, t)
+        return self.A(y, t) @ y + self.s(t)
 
 
 @dataclass
@@ -95,39 +98,51 @@ def step2_integrate(spec: CircuitSpec, state: CircuitState, dt2: float,
                     n_sub: int) -> CircuitState:
     """Advance the interior dynamics by n_sub implicit-Euler substeps.
 
-    Each substep solves (I - dt2 A(y, t_new)) y_new = y + dt2 s(y, t_new)
+    Each substep solves (I - dt2 A(y, t_new)) y_new = y + dt2 s(t_new)
     with t_new the substep end time; nonlinear coefficients are frozen at
-    the substep's start state y.
+    the substep's start state y.  The sources of all substeps come from one
+    call of s, and the LU factors of I - dt2 A are reused for as long as A
+    returns the same array object.
     """
     if dt2 <= 0:
         raise ValueError("dt2 must be positive")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    y = np.array(state.y, dtype=float)
-    t = state.t
+    times = state.t + np.arange(1, n_sub + 1) * dt2
+    sources = dt2 * spec.s(times)
+    if sources.shape != (n_sub, spec.dim):
+        raise ValueError(f"s(t) of {n_sub} times has shape {sources.shape}, "
+                         f"expected {(n_sub, spec.dim)}")
     eye = np.eye(spec.dim)
-    for j in range(1, n_sub + 1):
-        t_new = state.t + j * dt2
+    y = np.array(state.y, dtype=float)
+    factored = None
+    for t_new, source in zip(times.tolist(), sources):
         A = spec.A(y, t_new)
-        rhs = y + dt2 * spec.s(y, t_new)
-        mat = eye - dt2 * A
-        try:
-            y = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as err:
-            raise RuntimeError(f"singular circuit step at t={t_new}: {err}") from err
-        t = t_new
-    return CircuitState(y, t)
+        if A is not factored:
+            lu, piv, info = dgetrf(eye - dt2 * A)
+            if info != 0:
+                raise RuntimeError(f"singular circuit step at t={t_new}: "
+                                   f"LAPACK dgetrf info={info}")
+            factored = A
+        y, _ = dgetrs(lu, piv, y + source)
+    return CircuitState(y, t_new)
 
 
 # nonlinear element laws of the first benchmark circuit
 
 def resistance_a(pi: float, p: Example1Params) -> float:
-    return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(-p.alpha2 * pi))
+    # exp overflows for a very negative pi; the law then reads its limit Rbar_a
+    with np.errstate(over="ignore"):
+        return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(-p.alpha2 * pi))
 
 
 def resistance_a_prime(pi: float, p: Example1Params) -> float:
-    e = p.alpha1 * np.exp(-p.alpha2 * pi)
-    return p.alpha0 * p.alpha2 * e / (1.0 + e) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = p.alpha1 * np.exp(-p.alpha2 * pi)
+        den = (1.0 + e) ** 2
+        d = p.alpha0 * p.alpha2 * e / den
+    # the derivative tends to 0 as e grows; past overflow it would read inf/inf
+    return np.where(den == np.inf, 0.0, d)[()]
 
 
 def capacitance_a(omega_state: float, p: Example1Params) -> float:
@@ -136,6 +151,15 @@ def capacitance_a(omega_state: float, p: Example1Params) -> float:
 
 def _zero_signal(t):
     return 0.0
+
+
+def _sources(t, dim, *entries):
+    """Generator sources at time(s) t, shape np.shape(t) + (dim,): zero but
+    for the given (state index, value) entries."""
+    out = np.zeros(np.shape(t) + (dim,))
+    for index, value in entries:
+        out[..., index] = value
+    return out
 
 
 def example1_circuit(p: Example1Params, nonlinear: bool,
@@ -156,12 +180,17 @@ def example1_circuit(p: Example1Params, nonlinear: bool,
             [1.0 / Ra, -1.0 / (Ra * Ca) - 1.0 / (p.R_b * Ca)],
         ])
 
+    if not nonlinear:
+        # one array object, so stage 2 keeps its LU factors across substeps
+        Amat = A(None, 0.0)
+        A = lambda y, t: Amat
+
     def U(y, t):
         _, Ca = ra_ca(y)
         return np.array([p.C11_1, 1.0 / Ca])
 
-    def s(y, t):
-        return np.array([0.0, pt(t) / p.R_b])
+    def s(t):
+        return _sources(t, 2, (1, pt(t) / p.R_b))
 
     dU_dt = None
     if not nonlinear:
@@ -192,7 +221,7 @@ def example2_circuit(p: Example2Params, p_tilde: Callable | None = None) -> Circ
         3,
         A=lambda y, t: Amat,
         U=lambda y, t: Udiag,
-        s=lambda y, t: np.array([0.0, pt(t) / (p.C21_1 * p.R_b), 0.0]),
+        s=lambda t: _sources(t, 3, (1, pt(t) / (p.C21_1 * p.R_b))),
         connections=conns,
         dU_dt=lambda y, t: np.zeros(3),
     )
@@ -221,7 +250,8 @@ def example3_circuit(p: Example3Params, p_tilde_a: Callable | None = None,
         3,
         A=lambda y, t: Amat,
         U=lambda y, t: Udiag,
-        s=lambda y, t: np.array([pa(t) / (p.R_a * p.C11_1), pb(t) / (p.R_b * p.C11_2), 0.0]),
+        s=lambda t: _sources(t, 3, (0, pa(t) / (p.R_a * p.C11_1)),
+                             (1, pb(t) / (p.R_b * p.C11_2))),
         connections=conns,
         dU_dt=lambda y, t: np.zeros(3),
     )

@@ -292,11 +292,11 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
         for iid, conn in conns.items():
             b[conn.pi_index] += exact.interfaces[iid].Q(t) / conn.capacitance
         dy = exact.dy_dt(t)
-        A = spec.A(y, t)
-        rhs = A @ y + spec.s(y, t) + b
+        A, src = spec.A(y, t), spec.s(t)
+        rhs = A @ y + src + b
         # backward-error row scale: the terms summed in each row bound the
         # attainable cancellation accuracy
-        scale = np.abs(A) @ np.abs(y) + np.abs(spec.s(y, t)) + np.abs(b) + np.abs(dy)
+        scale = np.abs(A) @ np.abs(y) + np.abs(src) + np.abs(b) + np.abs(dy)
         circuit_res = max(circuit_res, float(
             np.max(np.abs(dy - rhs) / np.maximum(scale, 1.0))))
         for iid, conn in conns.items():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stokes0d import (Example1Params, StepConfig, build_case, convergence_rate,
-                      error_norms, example1_circuit, params_for, periodicity_gap,
-                      periods_per_tau, run, run_to_periodicity, stability_run)
+                      error_norms, example1_circuit, params_for, periods_per_tau,
+                      run, run_to_periodicity, stability_run)
 from stokes0d.analysis import (Trajectory, energy_report, snapshot_of,
                                step1_energy_residual)
 from stokes0d.circuits import energy
@@ -33,6 +33,52 @@ def test_energy_report_exact_initial_state():
 def test_circuit_energy_value():
     spec = example1_circuit(Example1Params(), nonlinear=False)
     assert abs(energy(spec, np.array([1.0, 0.01]), 0.0) - 0.0055) <= 1e-15
+
+
+def periodicity_gap(traj: Trajectory, period_samples: int) -> float:
+    """Relative squared distance between the last two recorded periods: the
+    offline oracle for the streaming gaps of `run_to_periodicity`.
+
+    A period vector concatenates period_samples + 1 consecutive snapshots;
+    the squared norm of a period vector sums the squared spatial L2 norms
+    (fields) or squared Euclidean norms (circuit states) of its snapshots,
+    and the gap is the max over fields of the ratio of those sums.
+    """
+    n_per = int(period_samples)
+    if n_per < 1:
+        raise ValueError("period_samples must be >= 1")
+    snaps = traj.snapshots
+    if len(snaps) < 2 * n_per + 1:
+        raise ValueError(f"need at least {2 * n_per + 1} snapshots "
+                         f"(two full periods), have {len(snaps)}")
+    cur = snaps[-(n_per + 1):]
+    prev = snaps[-(2 * n_per + 1):-n_per]
+    system = traj.system
+
+    gaps = []
+    for l, dom in enumerate(system.domains):
+        for mat, pick in ((dom.ops.M, lambda s: s.velocities[l]),
+                          (dom.ops.Mp, lambda s: s.pressures[l])):
+            num = den = 0.0
+            for sc, sp in zip(cur, prev):
+                d = pick(sc) - pick(sp)
+                num += float(d @ (mat @ d))
+                den += float(pick(sp) @ (mat @ pick(sp)))
+            if den <= 0.0:
+                raise ZeroDivisionError("previous period has zero norm; "
+                                        "degenerate periodicity reference")
+            gaps.append(num / den)
+    for m in range(len(system.circuits)):
+        num = den = 0.0
+        for sc, sp in zip(cur, prev):
+            d = sc.ys[m] - sp.ys[m]
+            num += float(d @ d)
+            den += float(sp.ys[m] @ sp.ys[m])
+        if den <= 0.0:
+            raise ZeroDivisionError("previous period has zero norm; "
+                                    "degenerate periodicity reference")
+        gaps.append(num / den)
+    return max(gaps)
 
 
 def test_periodicity_gap_constant_trajectory():

@@ -5,8 +5,10 @@ import pytest
 
 from stokes0d import (CircuitSpec, CircuitState, Connection, Example1Params,
                       Example2Params, Example3Params, eval_B, example1_circuit,
-                      example2_circuit, example3_circuit, step2_integrate)
-from stokes0d.circuits import capacitance_a, energy, resistance_a
+                      example1_exact, example2_circuit, example2_exact,
+                      example3_circuit, example3_exact, step2_integrate)
+from stokes0d.circuits import (capacitance_a, energy, resistance_a,
+                               resistance_a_prime)
 
 EX1_B = np.array([[0.1, -10.0], [-10.0, 2000.0]])
 
@@ -22,7 +24,7 @@ def test_eval_B_example1_constant():
 def test_eval_B_zero_dynamics():
     spec = CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
                        U=lambda y, t: np.array([1.0, 2.0]),
-                       s=lambda y, t: np.zeros(2), connections=())
+                       s=lambda t: np.zeros(np.shape(t) + (2,)), connections=())
     assert np.array_equal(eval_B(spec, np.ones(2), 0.0), np.zeros((2, 2)))
 
 
@@ -35,7 +37,7 @@ def test_eval_B_finite_difference_matches_analytic():
         return np.array([np.cos(t), 0.0])
 
     A = lambda y, t: np.array([[0.0, 1.0], [-1.0, 0.0]])
-    s = lambda y, t: np.zeros(2)
+    s = lambda t: np.zeros(np.shape(t) + (2,))
     with_analytic = CircuitSpec(2, A, U, s, (), dU_dt=dU)
     with_fd = CircuitSpec(2, A, U, s, ())
     y = np.array([0.3, -0.7])
@@ -92,7 +94,7 @@ def test_example23_builder_values():
     spec3 = example3_circuit(p3)
     assert [c.interface_id for c in spec3.connections] == [(1, 1, 1), (1, 1, 2)]
     # generator sources live in s(t) only; interface sources are separate
-    s = spec3.s(np.zeros(3), 0.25)
+    s = spec3.s(0.25)
     assert s[2] == 0.0
 
 
@@ -110,7 +112,7 @@ def test_positive_diagonal_U_random_states():
 def test_step2_identity_when_quiescent():
     spec = CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
                        U=lambda y, t: np.ones(2),
-                       s=lambda y, t: np.zeros(2), connections=())
+                       s=lambda t: np.zeros(np.shape(t) + (2,)), connections=())
     out = step2_integrate(spec, CircuitState(np.array([1.0, -2.0]), 0.0), 0.5, 4)
     assert np.array_equal(out.y, [1.0, -2.0])
     assert out.t == 2.0
@@ -119,7 +121,7 @@ def test_step2_identity_when_quiescent():
 def test_step2_scalar_implicit_euler():
     spec = CircuitSpec(1, A=lambda y, t: np.array([[-1.0]]),
                        U=lambda y, t: np.ones(1),
-                       s=lambda y, t: np.zeros(1), connections=())
+                       s=lambda t: np.zeros(np.shape(t) + (1,)), connections=())
     out = step2_integrate(spec, CircuitState(np.array([1.0]), 0.0), 0.1, 1)
     assert abs(out.y[0] - 1.0 / 1.1) <= 1e-15
 
@@ -141,10 +143,98 @@ def test_step2_energy_decay_unforced(dt2):
 def test_step2_singular_system_detected():
     spec = CircuitSpec(1, A=lambda y, t: np.array([[2.0]]),
                        U=lambda y, t: np.ones(1),
-                       s=lambda y, t: np.zeros(1), connections=())
+                       s=lambda t: np.zeros(np.shape(t) + (1,)), connections=())
     # dt2 = 1/2 makes I - dt2 A exactly zero
     with pytest.raises(RuntimeError, match="singular"):
         step2_integrate(spec, CircuitState(np.ones(1), 0.0), 0.5, 1)
+
+
+def _forced_circuits():
+    """Every builder with its benchmark's generators, and benchmark 1 unforced,
+    each with a state of its exact solution to start from."""
+    ex1, ex1n = example1_exact(), example1_exact(nonlinear=True)
+    ex2, ex3 = example2_exact(), example3_exact()
+    gen1, gen1n = ex1.generators["p_tilde"], ex1n.generators["p_tilde"]
+    p1 = Example1Params()
+    return {
+        "ex1-linear": (example1_circuit(p1, False, gen1), ex1.y),
+        "ex1-nonlinear": (example1_circuit(p1, True, gen1n), ex1n.y),
+        "ex1-unforced": (example1_circuit(p1, False), ex1.y),
+        "ex2": (example2_circuit(Example2Params(), ex2.generators["p_tilde"]), ex2.y),
+        "ex3": (example3_circuit(Example3Params(), ex3.generators["p_tilde_a"],
+                                 ex3.generators["p_tilde_b"]), ex3.y),
+    }
+
+
+def _step2_reference(spec, state, dt2, n_sub):
+    """Stage 2 one substep at a time: A, the substep's source row,
+    I - dt2 A and np.linalg.solve at every substep."""
+    sources = spec.s(state.t + np.arange(1, n_sub + 1) * dt2)
+    y = np.array(state.y, dtype=float)
+    eye = np.eye(spec.dim)
+    for k in range(n_sub):
+        t_new = state.t + (k + 1) * dt2
+        y = np.linalg.solve(eye - dt2 * spec.A(y, t_new), y + dt2 * sources[k])
+    return y, t_new
+
+
+@pytest.mark.parametrize("dt2", [1e-4, 1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("n_sub", [1, 5, 10])
+@pytest.mark.parametrize("name", list(_forced_circuits()))
+def test_step2_matches_the_substep_loop_bitwise(name, n_sub, dt2):
+    spec, y_exact = _forced_circuits()[name]
+    state = CircuitState(y_exact(0.3), 0.3)
+    out = step2_integrate(spec, state, dt2, n_sub)
+    y_ref, t_ref = _step2_reference(spec, state, dt2, n_sub)
+    assert out.y.tobytes() == y_ref.tobytes()
+    assert out.t == t_ref
+    assert np.array_equal(state.y, y_exact(0.3))     # the input is not touched
+
+
+@pytest.mark.parametrize("name", list(_forced_circuits()))
+def test_sources_broadcast_over_times(name):
+    spec, _ = _forced_circuits()[name]
+    times = np.linspace(0.0, 3.7, 7)
+    rows = spec.s(times)
+    assert spec.s(0.4).shape == (spec.dim,)
+    assert rows.shape == (7, spec.dim)
+    for k, t in enumerate(times.tolist()):
+        assert rows[k].tobytes() == spec.s(t).tobytes()
+
+
+def test_constant_matrices_are_one_array_object():
+    # stage 2 keeps its LU factors only while A returns the same object
+    circuits = _forced_circuits()
+    for name in ("ex1-linear", "ex1-unforced", "ex2", "ex3"):
+        spec, _ = circuits[name]
+        assert spec.A(np.zeros(spec.dim), 0.0) is spec.A(np.ones(spec.dim), 1.0)
+    spec, _ = circuits["ex1-nonlinear"]
+    assert spec.A(np.zeros(2), 0.0) is not spec.A(np.ones(2), 0.0)
+
+
+def test_step2_rejects_sources_of_the_wrong_shape():
+    spec = CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
+                       U=lambda y, t: np.ones(2),
+                       s=lambda t: np.zeros(2), connections=())
+    with pytest.raises(ValueError, match="shape"):
+        step2_integrate(spec, CircuitState(np.ones(2), 0.0), 0.1, 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resistance_laws_at_a_very_negative_pressure():
+    p = Example1Params()
+    assert resistance_a(-1e7, p) == p.Rbar_a
+    assert resistance_a_prime(-1e7, p) == 0.0
+    pis = np.array([-1e7, -1e5, 0.0, 3e2, np.nan])
+    assert np.array_equal(resistance_a(pis, p)[:1], [p.Rbar_a])
+    d = resistance_a_prime(pis, p)
+    assert d.shape == pis.shape and d[0] == 0.0 and np.isnan(d[-1])
+    # where exp does not overflow, the laws are the plain formulas
+    for k, pi in enumerate(pis[1:4].tolist(), 1):
+        e = p.alpha1 * np.exp(-p.alpha2 * pi)
+        assert resistance_a(pi, p) == p.Rbar_a + p.alpha0 / (1.0 + e)
+        assert resistance_a_prime(pi, p) == p.alpha0 * p.alpha2 * e / (1.0 + e) ** 2
+        assert d[k] == resistance_a_prime(pi, p)
 
 
 def test_step2_input_validation():
@@ -163,7 +253,7 @@ def test_connection_validation():
         Connection(1.0, 0.0, 0, (1, 1, 1))
     with pytest.raises(ValueError):
         CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
-                    U=lambda y, t: np.ones(2), s=lambda y, t: np.zeros(2),
+                    U=lambda y, t: np.ones(2), s=lambda t: np.zeros(np.shape(t) + (2,)),
                     connections=(Connection(1.0, 1.0, 0, (1, 1, 1)),
                                  Connection(1.0, 1.0, 0, (1, 1, 2))))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,3 +118,19 @@ def test_verify_exact_negative_control():
     case = build_case(1, nx=10, ny=2, zero_forcing=True)
     rep = verify_exact(case.system, exact_for(1), TIMES[::20])
     assert rep.circuit_residual > 1e-3
+
+
+def test_example2_interface_pressure_is_on_the_left_side_of_domain_2():
+    # the (2, 1, 1) interface is domain 2's left side (x1 = 0), not x1 = L
+    case = build_case(2, nx=20, ny=4)
+    ex = case.exact
+    pressure, L, H = ex.domains[1].pressure, ex.params.L, ex.params.H
+    side = lambda x1: np.array([[x1, 0.25 * H]])
+    ie = ex.interfaces[(2, 1, 1)]
+    for t in TIMES[::10]:
+        P = ie.P(t)
+        assert abs(P - pressure(side(0.0), t)[0]) <= 1e-14 * abs(P)
+    far = dataclasses.replace(ie, P=lambda t: pressure(side(L), t)[0])
+    wrong = dataclasses.replace(ex, interfaces={**ex.interfaces, (2, 1, 1): far})
+    assert verify_exact(case.system, ex, TIMES[::4]).coupling_residual <= 1e-10
+    assert verify_exact(case.system, wrong, TIMES[::4]).coupling_residual > 1e-3
