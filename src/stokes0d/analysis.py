@@ -1,4 +1,4 @@
-"""Discrete energy bookkeeping, trajectories and error norms.
+"""Discrete energy bookkeeping and error norms.
 
 The energy functionals mirror the balance law of the coupled problem:
 kinetic energy of the flow regions, stored circuit energy (1/2)||U^{1/2}y||^2,
@@ -71,8 +71,8 @@ def energy_report(system, state, dt_fd: float | None = None) -> EnergyReport:
         U = spec.U(y, state.t)
         u_up += float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
         f_up += float(spec.s(state.t) @ (U * y))
-    d_rc = sum(b.connection.resistance * state.interfaces[b.interface_id].Q ** 2
-               for b in system.bindings)
+    d_rc = sum(c.resistance * state.interfaces[c.interface_id].Q ** 2
+               for _, _, c in system.connections)
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up, f_om, f_up)
 
 
@@ -91,8 +91,8 @@ def _step1_balance(system, previous, intermediate, dt: float, mass_products):
         U = spec.U(ys, t_new)
         lhs += float(ys @ (U * ys)) / dt
         rhs += float(yn @ (U * ys)) / dt
-    for b in system.bindings:
-        lhs += b.connection.resistance * intermediate.interfaces[b.interface_id].Q ** 2
+    for _, _, c in system.connections:
+        lhs += c.resistance * intermediate.interfaces[c.interface_id].Q ** 2
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, rel
 
@@ -129,25 +129,6 @@ def step_energy_audit(system, record, dt: float):
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    t: float
-    velocities: tuple
-    pressures: tuple
-    ys: tuple
-
-
-def snapshot_of(state) -> Snapshot:
-    return Snapshot(state.t, tuple(state.velocities), tuple(state.pressures),
-                    tuple(state.ys))
-
-
-@dataclass
-class Trajectory:
-    system: object
-    snapshots: list
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     err_v: float
     err_p: float
@@ -155,9 +136,9 @@ class ErrorReport:
     period_index: Optional[int] = None
 
 
-def error_norms(traj: Trajectory, exact, dt: float) -> ErrorReport:
-    """Normalized space-time errors of one recorded period against the
-    exact solution, each snapshot weighted by dt:
+def error_norms(system, states, exact, dt: float) -> ErrorReport:
+    """Normalized space-time errors of the states of one recorded period
+    against the exact solution, each state weighted by dt:
 
       Err = sqrt( dt * sum_n sum_l ||u^n - u_ex(t^n)||^2 / ||u_ex(t^n)||^2 )
 
@@ -165,15 +146,14 @@ def error_norms(traj: Trajectory, exact, dt: float) -> ErrorReport:
     interpolants) and U^{1/2}-weighted Euclidean norms for the circuit
     states, U evaluated at the respective state.
     """
-    system = traj.system
     sum_v = sum_p = sum_y = 0.0
-    for snap in traj.snapshots:
-        t = snap.t
+    for state in states:
+        t = state.t
         for l, dom in enumerate(system.domains):
             uex = interpolate_velocity(dom.space, dom.mesh, exact.domains[l].velocity, t)
             pex = interpolate_pressure(dom.space, dom.mesh, exact.domains[l].pressure, t)
-            du = snap.velocities[l] - uex
-            dp = snap.pressures[l] - pex
+            du = state.velocities[l] - uex
+            dp = state.pressures[l] - pex
             den_v = float(uex @ (dom.ops.M @ uex))
             den_p = float(pex @ (dom.ops.Mp @ pex))
             if den_v <= 0.0 or den_p <= 0.0:
@@ -183,8 +163,8 @@ def error_norms(traj: Trajectory, exact, dt: float) -> ErrorReport:
         for m, spec in enumerate(system.circuits):
             yex = exact.y(t)
             Uex = np.sqrt(spec.U(yex, t))
-            Uh = np.sqrt(spec.U(snap.ys[m], t))
-            dy = Uh * snap.ys[m] - Uex * yex
+            Uh = np.sqrt(spec.U(state.ys[m], t))
+            dy = Uh * state.ys[m] - Uex * yex
             den_y = float((Uex * yex) @ (Uex * yex))
             if den_y <= 0.0:
                 raise ZeroDivisionError(f"exact state norm vanishes at t={t}")

@@ -19,8 +19,7 @@ from .exact import ExactSolutionSet, exact_for
 from .fem import (TimeSeparableLoad, assemble_operators, build_space,
                   interpolate_pressure, interpolate_velocity)
 from .params import params_for
-from .splitting import (CoupledState, CoupledSystem, Domain, InterfaceBinding,
-                        InterfaceValues)
+from .splitting import CoupledState, CoupledSystem, Domain, InterfaceValues
 
 DEFAULT_SUBSTEPS = {1: 5, 2: 10, 3: 10}
 
@@ -81,7 +80,7 @@ class Case:
 
 
 def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int = 20,
-               params=None, zero_forcing: bool = False, load_degree: int = 6) -> Case:
+               params=None, zero_forcing: bool = False) -> Case:
     """Assemble mesh, spaces, operators, circuit and exact solution.
 
     `zero_forcing` nulls body forces, external pressures and generators
@@ -105,12 +104,10 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
         else:
             rho = p.rho
             terms = [(lambda t, c=c: rho * c(t), g) for c, g in dex.force_terms]
-            body_load = TimeSeparableLoad(space, mesh, terms, degree=load_degree)
+            body_load = TimeSeparableLoad(space, mesh, terms)
             pbar = dex.pbar
         domains.append(Domain(mesh, space, ops, p.rho, p.mu, body_load, pbar))
 
     circuit = _circuit(example, p, exact, zero_forcing, nonlinear)
-    bindings = [InterfaceBinding(c.interface_id, c.interface_id[0] - 1, 0, c)
-                for c in circuit.connections]
-    system = CoupledSystem(domains, [circuit], bindings)
+    system = CoupledSystem(domains, [circuit])
     return Case(example, nonlinear, p, system, exact, DEFAULT_SUBSTEPS[example])

@@ -18,7 +18,7 @@ substep's start state, which is the second half of the splitting scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -48,7 +48,6 @@ class CircuitSpec:
     s: Callable                 # t -> shape(t) + (dim,): generator sources,
                                 # one row per time of an array t
     connections: tuple
-    dU_dt: Optional[Callable] = None   # (y, t) -> (dim,), analytic, optional
 
     def __post_init__(self):
         idx = [c.pi_index for c in self.connections]
@@ -57,31 +56,20 @@ class CircuitSpec:
         if idx and (min(idx) < 0 or max(idx) >= self.dim):
             raise ValueError("pi index outside state vector")
 
-    def interior_rhs(self, y, t):
-        return self.A(y, t) @ y + self.s(t)
-
-
-@dataclass
-class CircuitState:
-    y: np.ndarray
-    t: float
-
 
 def eval_B(spec: CircuitSpec, y, t, dt_fd: float | None = None) -> np.ndarray:
     """Dissipation tensor B = -U A - (1/2) dU/dt at the given state.
 
-    The dU/dt term uses the analytic evaluator when the spec provides one,
-    a central difference along the interior dynamics when `dt_fd` is given,
-    and is dropped (exactly zero) otherwise, i.e. for constant U.
+    The dU/dt term is a central difference along the interior dynamics when
+    `dt_fd` is given (exactly zero for a constant U), and is dropped otherwise.
     """
     y = np.asarray(y, dtype=float)
-    B = -np.diag(spec.U(y, t)) @ spec.A(y, t)
-    if spec.dU_dt is not None:
-        B -= 0.5 * np.diag(spec.dU_dt(y, t))
-    elif dt_fd is not None:
+    A = spec.A(y, t)
+    B = -np.diag(spec.U(y, t)) @ A
+    if dt_fd is not None:
         if dt_fd <= 0:
             raise ValueError("dt_fd must be positive")
-        f = spec.interior_rhs(y, t)
+        f = A @ y + spec.s(t)
         up = spec.U(y + dt_fd * f, t + dt_fd)
         dn = spec.U(y - dt_fd * f, t - dt_fd)
         B -= 0.5 * np.diag((up - dn) / (2.0 * dt_fd))
@@ -94,9 +82,10 @@ def energy(spec: CircuitSpec, y, t) -> float:
     return 0.5 * float(y @ (spec.U(y, t) * y))
 
 
-def step2_integrate(spec: CircuitSpec, state: CircuitState, dt2: float,
-                    n_sub: int) -> CircuitState:
-    """Advance the interior dynamics by n_sub implicit-Euler substeps.
+def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
+                    dt2: float) -> np.ndarray:
+    """Advance the interior dynamics from y at time t by n_sub implicit-Euler
+    substeps of size dt2 and return the new state; y itself is not changed.
 
     Each substep solves (I - dt2 A(y, t_new)) y_new = y + dt2 s(t_new)
     with t_new the substep end time; nonlinear coefficients are frozen at
@@ -108,13 +97,13 @@ def step2_integrate(spec: CircuitSpec, state: CircuitState, dt2: float,
         raise ValueError("dt2 must be positive")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    times = state.t + np.arange(1, n_sub + 1) * dt2
+    times = t + np.arange(1, n_sub + 1) * dt2
     sources = dt2 * spec.s(times)
     if sources.shape != (n_sub, spec.dim):
         raise ValueError(f"s(t) of {n_sub} times has shape {sources.shape}, "
                          f"expected {(n_sub, spec.dim)}")
     eye = np.eye(spec.dim)
-    y = np.array(state.y, dtype=float)
+    y = np.asarray(y, dtype=float)
     factored = None
     for t_new, source in zip(times.tolist(), sources):
         A = spec.A(y, t_new)
@@ -125,7 +114,7 @@ def step2_integrate(spec: CircuitSpec, state: CircuitState, dt2: float,
                                    f"LAPACK dgetrf info={info}")
             factored = A
         y, _ = dgetrs(lu, piv, y + source)
-    return CircuitState(y, t_new)
+    return y
 
 
 # nonlinear element laws of the first benchmark circuit
@@ -168,13 +157,11 @@ def example1_circuit(p: Example1Params, nonlinear: bool,
     p.check_circuit_elements()
     pt = p_tilde if p_tilde is not None else _zero_signal
 
-    def ra_ca(y):
-        if nonlinear:
-            return resistance_a(y[0], p), capacitance_a(y[1], p)
-        return p.Rbar_a, p.Cbar_a
-
     def A(y, t):
-        Ra, Ca = ra_ca(y)
+        if nonlinear:
+            Ra, Ca = resistance_a(y[0], p), capacitance_a(y[1], p)
+        else:
+            Ra, Ca = p.Rbar_a, p.Cbar_a
         return np.array([
             [-1.0 / (Ra * p.C11_1), 1.0 / (Ra * p.C11_1 * Ca)],
             [1.0 / Ra, -1.0 / (Ra * Ca) - 1.0 / (p.R_b * Ca)],
@@ -186,18 +173,14 @@ def example1_circuit(p: Example1Params, nonlinear: bool,
         A = lambda y, t: Amat
 
     def U(y, t):
-        _, Ca = ra_ca(y)
+        Ca = capacitance_a(y[1], p) if nonlinear else p.Cbar_a
         return np.array([p.C11_1, 1.0 / Ca])
 
     def s(t):
         return _sources(t, 2, (1, pt(t) / p.R_b))
 
-    dU_dt = None
-    if not nonlinear:
-        dU_dt = lambda y, t: np.zeros(2)
-
     conns = (Connection(p.R11_1, p.C11_1, pi_index=0, interface_id=(1, 1, 1)),)
-    return CircuitSpec(2, A, U, s, conns, dU_dt)
+    return CircuitSpec(2, A, U, s, conns)
 
 
 def example2_circuit(p: Example2Params, p_tilde: Callable | None = None) -> CircuitSpec:
@@ -223,7 +206,6 @@ def example2_circuit(p: Example2Params, p_tilde: Callable | None = None) -> Circ
         U=lambda y, t: Udiag,
         s=lambda t: _sources(t, 3, (1, pt(t) / (p.C21_1 * p.R_b))),
         connections=conns,
-        dU_dt=lambda y, t: np.zeros(3),
     )
 
 
@@ -253,5 +235,4 @@ def example3_circuit(p: Example3Params, p_tilde_a: Callable | None = None,
         s=lambda t: _sources(t, 3, (0, pa(t) / (p.R_a * p.C11_1)),
                              (1, pb(t) / (p.R_b * p.C11_2))),
         connections=conns,
-        dU_dt=lambda y, t: np.zeros(3),
     )

@@ -7,7 +7,6 @@ formatting, so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,27 +47,8 @@ class RunConfig:
         return params_for(self.example).replace(**self.overrides)
 
 
-def emit_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(cfg):
-        if f.name == "overrides":
-            continue
-        val = getattr(cfg, f.name)
-        if f.name == "dt_list":
-            val = ",".join(repr(v) for v in val)
-        elif isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
-            val = repr(val)
-        lines.append(f"{f.name} = {val}")
-    for key in sorted(cfg.overrides):
-        lines.append(f"set.{key} = {cfg.overrides[key]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
-    types = {f.name: f.type for f in dataclasses.fields(cfg)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -102,10 +82,10 @@ def _interface_label(iid) -> str:
 
 
 def _write_series_csv(path: Path, result) -> None:
-    bindings = result.case.system.bindings
+    iids = [c.interface_id for _, _, c in result.case.system.connections]
     cols = ["t"]
-    for b in bindings:
-        lbl = _interface_label(b.interface_id)
+    for iid in iids:
+        lbl = _interface_label(iid)
         cols += [f"P_{lbl}", f"Q_{lbl}", f"pi_{lbl}"]
     for m, spec in enumerate(result.case.system.circuits):
         cols += [f"y{m}_{j}" for j in range(spec.dim)]
@@ -114,8 +94,8 @@ def _write_series_csv(path: Path, result) -> None:
         f.write(",".join(cols) + "\n")
         for row in result.series:
             vals = [_fmt(row.t)]
-            for b in bindings:
-                iv = row.interfaces[b.interface_id]
+            for iid in iids:
+                iv = row.interfaces[iid]
                 vals += [_fmt(iv.P), _fmt(iv.Q), _fmt(iv.pi)]
             for y in row.ys:
                 vals += [_fmt(v) for v in y]

@@ -106,25 +106,25 @@ def example1_exact(p: Example1Params | None = None, nonlinear: bool = False) -> 
     d2pi_t = lambda t: c_pi * d2s(t)
 
     if nonlinear:
-        def _X(t):
-            return pi_t(t) - circ.resistance_a(pi_t(t), p) * (Q_t(t) - p.C11_1 * dpi_t(t))
-
-        def _dX(t):
-            ra = circ.resistance_a(pi_t(t), p)
-            dra = circ.resistance_a_prime(pi_t(t), p) * dpi_t(t)
-            return (dpi_t(t) - dra * (Q_t(t) - p.C11_1 * dpi_t(t))
-                    - ra * (dQ_t(t) - p.C11_1 * d2pi_t(t)))
-
-        def w_t(t):
-            disc = 1.0 + 4.0 * p.gamma1 * p.Cbar_a * _X(t)
+        def w_dw(t, pi, ra):
+            """w(t) and dw/dt(t), given pi = pi_t(t) and ra = R_a(pi)."""
+            dpi = dpi_t(t)
+            X = pi - ra * (Q_t(t) - p.C11_1 * dpi)
+            dra = circ.resistance_a_prime(pi, p) * dpi
+            dX = dpi - dra * (Q_t(t) - p.C11_1 * dpi) - ra * (dQ_t(t) - p.C11_1 * d2pi_t(t))
+            disc = 1.0 + 4.0 * p.gamma1 * p.Cbar_a * X
             if np.any(np.asarray(disc) < 0):
                 raise ValueError("negative discriminant in the volume formula; "
                                  "invalid parameter regime")
-            return (-1.0 + np.sqrt(disc)) / (2.0 * p.gamma1)
+            return (-1.0 + np.sqrt(disc)) / (2.0 * p.gamma1), p.Cbar_a * dX / np.sqrt(disc)
+
+        def w_t(t):
+            pi = pi_t(t)
+            return w_dw(t, pi, circ.resistance_a(pi, p))[0]
 
         def dw_t(t):
-            disc = 1.0 + 4.0 * p.gamma1 * p.Cbar_a * _X(t)
-            return p.Cbar_a * _dX(t) / np.sqrt(disc)
+            pi = pi_t(t)
+            return w_dw(t, pi, circ.resistance_a(pi, p))[1]
     else:
         # gamma1 = 0 limit: w = Cbar_a [pi - Rbar_a (Q - C11 dpi/dt)]
         def w_t(t):
@@ -134,13 +134,15 @@ def example1_exact(p: Example1Params | None = None, nonlinear: bool = False) -> 
             return p.Cbar_a * (dpi_t(t) - p.Rbar_a * (dQ_t(t) - p.C11_1 * d2pi_t(t)))
 
     def p_tilde(t):
-        pi, w = pi_t(t), w_t(t)
+        pi = pi_t(t)
         if nonlinear:
             ra = circ.resistance_a(pi, p)
+            w, dw = w_dw(t, pi, ra)
             ca = p.Cbar_a / (1.0 + p.gamma1 * w)
         else:
+            w, dw = w_t(t), dw_t(t)
             ra, ca = p.Rbar_a, p.Cbar_a
-        return (p.R_b * dw_t(t) - (p.R_b / ra) * pi
+        return (p.R_b * dw - (p.R_b / ra) * pi
                 + (p.R_b / ca) * (1.0 / ra + 1.0 / p.R_b) * w)
 
     dom = DomainExact(velocity, pressure, dv_dt, force_terms,
@@ -282,7 +284,7 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
     """
     times = np.asarray(times, dtype=float)
     spec = system.circuits[0]
-    conns = {b.connection.interface_id: b.connection for b in system.bindings}
+    conns = {c.interface_id: c for _, _, c in system.connections}
 
     circuit_res = 0.0
     coupling_res = 0.0
@@ -311,21 +313,20 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
 
     gx, gw = np.polynomial.legendre.leggauss(40)
     flux_res = 0.0
-    for binding in system.bindings:
-        dom = system.domains[binding.domain_index]
-        mesh = dom.mesh
-        eids = mesh.edges_with_kind(TagKind.INTERFACE, binding.interface_id)
+    for d, _, conn in system.connections:
+        mesh = system.domains[d].mesh
+        eids = mesh.edges_with_kind(TagKind.INTERFACE, conn.interface_id)
         x1 = float(mesh.vertices[mesh.edges[eids[0]][0], 0])
         nx = 1.0 if x1 > 0.5 * mesh.domain.length else -1.0
         H = mesh.domain.height
         y_q = 0.5 * H * gx
         w_q = 0.5 * H * gw
         pts = np.column_stack([np.full_like(y_q, x1), y_q])
-        dex = exact.domains[binding.domain_index]
+        dex = exact.domains[d]
         for t in times:
             v = dex.velocity(pts, t)
             q_quad = nx * float(v[:, 0] @ w_q)
-            q_ref = float(exact.interfaces[binding.interface_id].Q(t))
+            q_ref = float(exact.interfaces[conn.interface_id].Q(t))
             flux_res = max(flux_res, abs(q_quad - q_ref) / max(abs(q_ref), 1.0))
 
     weak = 0.0
@@ -342,11 +343,10 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
             r -= load
             if dex.pbar is not None:
                 r += float(dex.pbar(t)) * ops.sigma
-            for binding in system.bindings:
-                if binding.domain_index != di:
-                    continue
-                iid = binding.interface_id
-                r += float(exact.interfaces[iid].P(t)) * ops.flux[iid]
+            for d, _, conn in system.connections:
+                if d == di:
+                    iid = conn.interface_id
+                    r += float(exact.interfaces[iid].P(t)) * ops.flux[iid]
             r = r[space.free]
             scale = max(float(np.linalg.norm(dom.mu * (ops.K @ u))),
                         float(np.linalg.norm(load)), 1e-300)

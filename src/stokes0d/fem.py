@@ -243,11 +243,11 @@ class TimeSeparableLoad:
     spatial fields, so the per-step cost reduces to a few axpys.
     """
 
-    def __init__(self, space, mesh, terms, degree: int = 6):
+    def __init__(self, space, mesh, terms):
         # terms: iterable of (time_coefficient c(t), spatial field g(points))
         self.coeffs = [c for c, _ in terms]
         self.vectors = [
-            assemble_body_force(space, mesh, lambda x, t, g=g: g(x), 0.0, degree=degree)
+            assemble_body_force(space, mesh, lambda x, t, g=g: g(x), 0.0)
             for _, g in terms
         ]
 
@@ -271,15 +271,3 @@ def interpolate_velocity(space: StokesSpace, mesh: TriangleMesh, field, t: float
 def interpolate_pressure(space: StokesSpace, mesh: TriangleMesh, field, t: float) -> np.ndarray:
     return np.asarray(field(mesh.vertices, t), dtype=float)
 
-
-def l2_norms(space: StokesSpace, mesh: TriangleMesh, u: np.ndarray, p: np.ndarray,
-             ops: AssembledOperators | None = None):
-    """(||v||, ||grad v||, ||p||) in L2, via the assembly quadrature."""
-    if u.shape != (space.n_velocity,) or p.shape != (space.n_pressure,):
-        raise ValueError("coefficient vectors do not match the space")
-    if ops is None:
-        ops = assemble_operators(space, mesh)
-    nv = float(u @ (ops.M @ u))
-    ng = float(u @ (ops.K @ u))
-    npr = float(p @ (ops.Mp @ p))
-    return np.sqrt(max(nv, 0.0)), np.sqrt(max(ng, 0.0)), np.sqrt(max(npr, 0.0))

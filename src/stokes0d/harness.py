@@ -20,9 +20,9 @@ import numpy as np
 from . import splitting
 # step1_energy_residual is not called here; perfbench/spans.py traces it under
 # this module's name, next to energy_report
-from .analysis import (EnergyReport, ErrorReport, Trajectory, convergence_rate,  # noqa: F401
-                       energy_report, error_norms, snapshot_of,
-                       step1_energy_residual, step_energy_audit)
+from .analysis import (EnergyReport, ErrorReport, convergence_rate,  # noqa: F401
+                       energy_report, error_norms, step1_energy_residual,
+                       step_energy_audit)
 from .cases import Case
 from .splitting import StepConfig
 
@@ -35,9 +35,9 @@ def periods_per_tau(tau: float, dt: float) -> int:
 
 
 class _PeriodTracker:
-    """Streams snapshots and accumulates the per-period gap terms.
+    """Streams states and accumulates the per-period gap terms.
 
-    Keeps the latest N_tau + 1 snapshots; when snapshot i arrives, its
+    Keeps the latest N_tau + 1 states; when state i arrives, its
     counterpart one period earlier is the head of the buffer, and the pair
     contributes to every period vector containing index i (period
     boundaries belong to both neighbours).
@@ -51,28 +51,27 @@ class _PeriodTracker:
         self.acc = {}
         self.gaps = {}
 
-    def _groups(self, snap, prev):
+    def _groups(self, state, prev):
         sys_ = self.system
         for l, dom in enumerate(sys_.domains):
-            d = snap.velocities[l] - prev.velocities[l]
+            d = state.velocities[l] - prev.velocities[l]
             yield float(d @ (dom.ops.M @ d)), float(
                 prev.velocities[l] @ (dom.ops.M @ prev.velocities[l]))
-            d = snap.pressures[l] - prev.pressures[l]
+            d = state.pressures[l] - prev.pressures[l]
             yield float(d @ (dom.ops.Mp @ d)), float(
                 prev.pressures[l] @ (dom.ops.Mp @ prev.pressures[l]))
         for m in range(len(sys_.circuits)):
-            d = snap.ys[m] - prev.ys[m]
+            d = state.ys[m] - prev.ys[m]
             yield float(d @ d), float(prev.ys[m] @ prev.ys[m])
 
     def push(self, state) -> None:
-        snap = snapshot_of(state)
-        self.buffer.append(snap)
+        self.buffer.append(state)
         i = self.count
         self.count += 1
         if i < self.n_per:
             return
         prev = self.buffer[0]
-        pairs = list(self._groups(snap, prev))
+        pairs = list(self._groups(state, prev))
         periods = [i // self.n_per, i // self.n_per + 1] if i % self.n_per == 0 \
             else [i // self.n_per + 1]
         for p in periods:
@@ -87,9 +86,6 @@ class _PeriodTracker:
                 raise ZeroDivisionError("previous period has zero norm; "
                                         "degenerate periodicity reference")
             self.gaps[p] = float(np.max(acc[:, 0] / acc[:, 1]))
-
-    def last_period_trajectory(self) -> Trajectory:
-        return Trajectory(self.system, list(self.buffer))
 
 
 @dataclass
@@ -110,7 +106,7 @@ class SimulateResult:
     periods: int
     gaps: dict
     series: list
-    trajectory: Optional[Trajectory]
+    last_period: Optional[list]     # the states of the last recorded period
     final_state: object
     errors: Optional[ErrorReport] = None
 
@@ -121,7 +117,7 @@ class SimulateResult:
 
 def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
                        eps_per: float = 1e-6, max_periods: int = 10,
-                       collect_series: bool = True, compute_errors: bool = True,
+                       collect_series: bool = True,
                        extra_observers=()) -> SimulateResult:
     """Advance whole periods until the periodicity gap drops under eps_per.
 
@@ -136,12 +132,12 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
 
     series: list = []
 
-    def record_series(t, interfaces, ys, state_for_energy):
-        series.append(SeriesRow(t, dict(interfaces), [y.copy() for y in ys],
-                                energy_report(system, state_for_energy, dt_fd)))
+    def record_series(state):
+        series.append(SeriesRow(state.t, state.interfaces, state.ys,
+                                energy_report(system, state, dt_fd)))
 
     if collect_series:
-        record_series(0.0, state.interfaces, state.ys, state)
+        record_series(state)
     if max_periods == 0:
         return SimulateResult(case, dt, s_sub, n_tau, False, 0, {}, series, None, state)
 
@@ -151,7 +147,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     def on_step(record):
         tracker.push(record.state)
         if collect_series:
-            record_series(record.t, record.interfaces, record.ys, record.state)
+            record_series(record.state)
         for obs in extra_observers:
             obs(record)
 
@@ -165,13 +161,13 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
             converged = True
             break
 
-    traj = tracker.last_period_trajectory() if periods >= 1 else None
+    last_period = list(tracker.buffer) if periods >= 1 else None
     errors = None
-    if converged and compute_errors:
-        errors = dataclasses.replace(error_norms(traj, case.exact, dt),
+    if converged:
+        errors = dataclasses.replace(error_norms(system, last_period, case.exact, dt),
                                      period_index=periods)
     return SimulateResult(case, dt, s_sub, n_tau, converged, periods,
-                          dict(tracker.gaps), series, traj, state, errors)
+                          dict(tracker.gaps), series, last_period, state, errors)
 
 
 @dataclass
@@ -183,8 +179,8 @@ class StabilityReport:
     chain_violation: float      # max violation of E^{n+1} <= E^{n+1/2} <= E^n
     max_identity_residual: float
 
-    def passed(self, slack: float = 1e-12) -> bool:
-        tol = slack * self.e0
+    def passed(self) -> bool:
+        tol = 1e-12 * self.e0       # round-off slack relative to the initial energy
         return self.max_increase <= tol and self.chain_violation <= tol
 
 
@@ -262,7 +258,7 @@ def peak_errors(result: SimulateResult, interface_id) -> dict:
     """Relative peak errors of P and Q over the last recorded period.
 
     peak error = max_n |x^n - x_ex(t^n)| / max_n |x_ex(t^n)|, maximum over
-    the snapshots of the final period.
+    the series rows of the final period.
     """
     if not result.converged or not result.series:
         raise ValueError("needs a converged run with a recorded series")

@@ -188,22 +188,3 @@ def build_rect_mesh(domain: RectDomain, nx: int, ny: int, layout: dict) -> Trian
 
     return TriangleMesh(domain, vertices, triangles, edges, edge_index, boundary_edges)
 
-
-def write_mesh(mesh: TriangleMesh, path) -> None:
-    """Dump a mesh as plain text: VERTICES, TRIANGLES and BOUNDARY sections."""
-    with open(path, "w") as f:
-        f.write("VERTICES\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            f.write(f"{i} {x!r} {y!r}\n")
-        f.write("TRIANGLES\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-        f.write("BOUNDARY\n")
-        for eid in sorted(mesh.boundary_edges):
-            tag = mesh.boundary_edges[eid]
-            a, b = mesh.edges[eid]
-            if tag.kind is TagKind.INTERFACE:
-                l, m, k = tag.interface_id
-                f.write(f"{a} {b} {tag.kind.value} {l} {m} {k}\n")
-            else:
-                f.write(f"{a} {b} {tag.kind.value}\n")

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse
-from .circuits import CircuitState, step2_integrate
+from .circuits import step2_integrate
 from .fem import AssembledOperators, StokesSpace
 from .mesh import TriangleMesh
 
@@ -46,14 +46,6 @@ class Domain:
 
 
 @dataclass(frozen=True)
-class InterfaceBinding:
-    interface_id: tuple
-    domain_index: int
-    circuit_index: int
-    connection: object
-
-
-@dataclass(frozen=True)
 class InterfaceValues:
     P: float
     Q: float
@@ -62,6 +54,8 @@ class InterfaceValues:
 
 @dataclass
 class CoupledState:
+    """The coupled state at time t.  No step changes a state it is handed:
+    each stage returns a new one, sharing only arrays it leaves as they are."""
     velocities: list
     pressures: list
     ys: list
@@ -82,37 +76,41 @@ class StepConfig:
 
 
 class CoupledSystem:
-    """Flow domains, circuits and the bindings that tie them together."""
+    """Flow domains and circuits, wired by the ids (l, m, k) of the circuits'
+    connections: connection k of circuit m attaches to flow domain l."""
 
-    def __init__(self, domains, circuits, bindings):
+    def __init__(self, domains, circuits):
         self.domains = list(domains)
         self.circuits = list(circuits)
-        self.bindings = list(bindings)
+        # (domain index, circuit index, connection), in circuit order
+        self.connections = [(c.interface_id[0] - 1, m, c)
+                            for m, spec in enumerate(self.circuits)
+                            for c in spec.connections]
         self._step1_cache = {}
         self._validate()
 
     def _validate(self):
-        mesh_ids = set()
-        for d, dom in enumerate(self.domains):
-            for iid in dom.mesh.interface_ids():
-                mesh_ids.add((d, iid))
-        bound_ids = [(b.domain_index, b.interface_id) for b in self.bindings]
+        for _, m, c in self.connections:
+            l, owner, _ = c.interface_id
+            if not 1 <= l <= len(self.domains):
+                raise ValueError(f"connection {c.interface_id}: no flow domain {l}")
+            if owner != m + 1:
+                raise ValueError(f"connection {c.interface_id} is held by circuit {m + 1}")
+        mesh_ids = {(d, iid) for d, dom in enumerate(self.domains)
+                    for iid in dom.mesh.interface_ids()}
+        bound_ids = [(d, c.interface_id) for d, _, c in self.connections]
         if len(bound_ids) != len(set(bound_ids)):
-            raise ValueError("an interface is bound more than once")
+            raise ValueError("an interface is connected more than once")
         if set(bound_ids) != mesh_ids:
-            raise ValueError(f"interface bindings {sorted(set(bound_ids))} do not "
+            raise ValueError(f"connections {sorted(set(bound_ids))} do not "
                              f"match tagged mesh interfaces {sorted(mesh_ids)}")
-        for m, spec in enumerate(self.circuits):
-            bound = [b.connection for b in self.bindings if b.circuit_index == m]
-            if len(bound) != len(spec.connections) or set(map(id, bound)) != set(
-                    map(id, spec.connections)):
-                raise ValueError(f"circuit {m}: connections and bindings disagree")
 
     def zero_state(self) -> CoupledState:
         vels = [np.zeros(d.space.n_velocity) for d in self.domains]
         prs = [np.zeros(d.space.n_pressure) for d in self.domains]
         ys = [np.zeros(c.dim) for c in self.circuits]
-        ifs = {b.interface_id: InterfaceValues(0.0, 0.0, 0.0) for b in self.bindings}
+        ifs = {c.interface_id: InterfaceValues(0.0, 0.0, 0.0)
+               for _, _, c in self.connections}
         return CoupledState(vels, prs, ys, ifs, 0.0)
 
     def step1_solver(self, dt: float, explicit_pi: bool = False) -> "_Step1Solver":
@@ -126,7 +124,7 @@ class _Step1Solver:
     """Assembled and factorized stage-1 system for one time step size.
 
     Unknown layout: per domain the free velocity dofs then the pressures,
-    then per binding the pair (Q_k, pi_k).  `explicit_pi` is a test-only
+    then per connection the pair (Q_k, pi_k).  `explicit_pi` is a test-only
     variant that moves the pi coupling in the momentum equation to the
     right-hand side (lagged at the previous step), which breaks the
     discrete energy balance and with it unconditional stability.
@@ -153,7 +151,7 @@ class _Step1Solver:
             self.Kff.append(K)
         self.q_off = []
         self.pi_off = []
-        for _ in system.bindings:
+        for _ in system.connections:
             self.q_off.append(off)
             self.pi_off.append(off + 1)
             off += 2
@@ -168,15 +166,13 @@ class _Step1Solver:
             Df = dom.ops.D.tocsr()[:, free].tocoo()
             blocks.append((po + Df.row, vo + Df.col, Df.data))      # continuity
             blocks.append((vo + Df.col, po + Df.row, -Df.data))     # -D^T p
-        for b, binding in enumerate(system.bindings):
-            d = binding.domain_index
+        for b, (d, _, conn) in enumerate(system.connections):
             dom = system.domains[d]
             free = dom.space.free
             vo = self.v_off[d]
-            phi = dom.ops.flux[binding.interface_id][free]
+            phi = dom.ops.flux[conn.interface_id][free]
             nz = np.nonzero(phi)[0]
-            R = binding.connection.resistance
-            C = binding.connection.capacitance
+            R, C = conn.resistance, conn.capacitance
             qo, pio = self.q_off[b], self.pi_off[b]
             blocks.append((vo + nz, np.full(len(nz), qo), R * phi[nz]))
             if not explicit_pi:
@@ -193,7 +189,7 @@ class _Step1Solver:
                 f"stage-1 factorization failed for {self._describe()}: {err}") from err
 
     def _describe(self) -> str:
-        ifs = ", ".join(str(b.interface_id) for b in self.system.bindings)
+        ifs = ", ".join(str(c.interface_id) for _, _, c in self.system.connections)
         return (f"{len(self.system.domains)} domain(s) with interfaces [{ifs}] "
                 f"at dt={self.dt}")
 
@@ -210,15 +206,14 @@ class _Step1Solver:
             if dom.pbar is not None:
                 r -= float(dom.pbar(t_new)) * dom.ops.sigma[free]
             rhs[vo:vo + len(free)] = r
-        for b, binding in enumerate(sys_.bindings):
-            pi_n = state.ys[binding.circuit_index][binding.connection.pi_index]
+        for b, (d, m, conn) in enumerate(sys_.connections):
+            pi_n = state.ys[m][conn.pi_index]
             rhs[self.pi_off[b]] = pi_n
             if self.explicit_pi:
-                d = binding.domain_index
                 dom = sys_.domains[d]
                 free = dom.space.free
                 vo = self.v_off[d]
-                phi = dom.ops.flux[binding.interface_id][free]
+                phi = dom.ops.flux[conn.interface_id][free]
                 rhs[vo:vo + len(free)] -= pi_n * phi
 
         try:
@@ -237,12 +232,11 @@ class _Step1Solver:
             prs.append(x[po:po + dom.space.n_pressure].copy())
         ys = [y.copy() for y in state.ys]
         interfaces = {}
-        for b, binding in enumerate(sys_.bindings):
+        for b, (_, m, conn) in enumerate(sys_.connections):
             Q = float(x[self.q_off[b]])
             pi = float(x[self.pi_off[b]])
-            R = binding.connection.resistance
-            ys[binding.circuit_index][binding.connection.pi_index] = pi
-            interfaces[binding.interface_id] = InterfaceValues(pi + R * Q, Q, pi)
+            ys[m][conn.pi_index] = pi
+            interfaces[conn.interface_id] = InterfaceValues(pi + conn.resistance * Q, Q, pi)
         return CoupledState(vels, prs, ys, interfaces, state.t)
 
 
@@ -262,10 +256,8 @@ def step2(system: CoupledSystem, state: CoupledState, dt: float,
           s_sub: int) -> CoupledState:
     """Stage 2: interior circuit dynamics; velocities and pressures are
     reused as-is (bitwise), only circuit states and the clock move."""
-    ys = []
-    for spec, y in zip(system.circuits, state.ys):
-        cs = step2_integrate(spec, CircuitState(y, state.t), dt / s_sub, s_sub)
-        ys.append(cs.y)
+    ys = [step2_integrate(spec, y, state.t, s_sub, dt / s_sub)
+          for spec, y in zip(system.circuits, state.ys)]
     return CoupledState(state.velocities, state.pressures, ys,
                         state.interfaces, state.t + dt)
 
@@ -277,18 +269,6 @@ class StepRecord:
     previous: CoupledState
     intermediate: CoupledState
     state: CoupledState
-
-    @property
-    def t(self) -> float:
-        return self.state.t
-
-    @property
-    def interfaces(self) -> dict:
-        return self.state.interfaces
-
-    @property
-    def ys(self) -> list:
-        return self.state.ys
 
 
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,

@@ -3,11 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stokes0d import (Example1Params, StepConfig, build_case, convergence_rate,
-                      error_norms, example1_circuit, params_for, periods_per_tau,
-                      run, run_to_periodicity, stability_run)
-from stokes0d.analysis import (Trajectory, energy_report, snapshot_of,
-                               step1_energy_residual)
+from stokes0d import (CoupledState, Example1Params, StepConfig, build_case,
+                      convergence_rate, error_norms, example1_circuit, params_for,
+                      periods_per_tau, run, run_to_periodicity, stability_run)
+from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.circuits import energy
 
 
@@ -35,25 +34,23 @@ def test_circuit_energy_value():
     assert abs(energy(spec, np.array([1.0, 0.01]), 0.0) - 0.0055) <= 1e-15
 
 
-def periodicity_gap(traj: Trajectory, period_samples: int) -> float:
+def periodicity_gap(system, states, period_samples: int) -> float:
     """Relative squared distance between the last two recorded periods: the
     offline oracle for the streaming gaps of `run_to_periodicity`.
 
-    A period vector concatenates period_samples + 1 consecutive snapshots;
+    A period vector concatenates period_samples + 1 consecutive states;
     the squared norm of a period vector sums the squared spatial L2 norms
-    (fields) or squared Euclidean norms (circuit states) of its snapshots,
+    (fields) or squared Euclidean norms (circuit states) of its states,
     and the gap is the max over fields of the ratio of those sums.
     """
     n_per = int(period_samples)
     if n_per < 1:
         raise ValueError("period_samples must be >= 1")
-    snaps = traj.snapshots
-    if len(snaps) < 2 * n_per + 1:
-        raise ValueError(f"need at least {2 * n_per + 1} snapshots "
-                         f"(two full periods), have {len(snaps)}")
-    cur = snaps[-(n_per + 1):]
-    prev = snaps[-(2 * n_per + 1):-n_per]
-    system = traj.system
+    if len(states) < 2 * n_per + 1:
+        raise ValueError(f"need at least {2 * n_per + 1} states "
+                         f"(two full periods), have {len(states)}")
+    cur = states[-(n_per + 1):]
+    prev = states[-(2 * n_per + 1):-n_per]
 
     gaps = []
     for l, dom in enumerate(system.domains):
@@ -84,8 +81,7 @@ def periodicity_gap(traj: Trajectory, period_samples: int) -> float:
 def test_periodicity_gap_constant_trajectory():
     case = coarse_case()
     state = case.initial_state()
-    traj = Trajectory(case.system, [snapshot_of(state) for _ in range(9)])
-    assert periodicity_gap(traj, 4) == 0.0
+    assert periodicity_gap(case.system, [state] * 9, 4) == 0.0
 
 
 def test_periodicity_gap_exact_snapshots():
@@ -93,7 +89,7 @@ def test_periodicity_gap_exact_snapshots():
     case = coarse_case()
     n_per = 8
     dt = case.tau / n_per
-    snaps = []
+    states = []
     for i in range(2 * n_per + 1):
         st = case.initial_state()
         t = i * dt
@@ -105,24 +101,23 @@ def test_periodicity_gap_exact_snapshots():
                                                case.exact.domains[0].pressure, t)
         st.ys[0] = case.exact.y(t)
         st.t = t
-        snaps.append(snapshot_of(st))
-    assert periodicity_gap(Trajectory(case.system, snaps), n_per) <= 1e-12
+        states.append(st)
+    assert periodicity_gap(case.system, states, n_per) <= 1e-12
 
 
 def test_periodicity_gap_zero_reference_rejected():
     case = coarse_case(zero_forcing=True)
-    traj = Trajectory(case.system,
-                      [snapshot_of(case.system.zero_state()) for _ in range(5)])
+    states = [case.system.zero_state()] * 5
     with pytest.raises(ZeroDivisionError):
-        periodicity_gap(traj, 2)
+        periodicity_gap(case.system, states, 2)
     with pytest.raises(ValueError):
-        periodicity_gap(traj, 3)   # too few snapshots
+        periodicity_gap(case.system, states, 3)   # too few states
 
 
 def test_error_norms_zero_for_exact_trajectory():
     case = coarse_case()
     dt = case.tau / 8
-    snaps = []
+    states = []
     from stokes0d import interpolate_pressure, interpolate_velocity
     dom = case.system.domains[0]
     for i in range(9):
@@ -134,18 +129,16 @@ def test_error_norms_zero_for_exact_trajectory():
                                                case.exact.domains[0].pressure, t)
         st.ys[0] = case.exact.y(t)
         st.t = t
-        snaps.append(snapshot_of(st))
-    traj = Trajectory(case.system, snaps)
-    rep = error_norms(traj, case.exact, dt)
+        states.append(st)
+    rep = error_norms(case.system, states, case.exact, dt)
     assert rep.err_v <= 1e-13 and rep.err_p <= 1e-13 and rep.err_y <= 1e-13
 
     # joint scaling of computed and exact fields leaves the errors unchanged
-    doubled = Trajectory(case.system, [
-        snapshot_of(type(case.initial_state())(
-            [2.0 * v for v in s.velocities], [2.0 * p for p in s.pressures],
-            [np.asarray(y) for y in s.ys], {}, s.t)) for s in snaps])
+    doubled = [CoupledState([2.0 * v for v in s.velocities],
+                            [2.0 * p for p in s.pressures], s.ys, {}, s.t)
+               for s in states]
     exact2 = _scaled_exact(case.exact, 2.0)
-    rep2 = error_norms(doubled, exact2, dt)
+    rep2 = error_norms(case.system, doubled, exact2, dt)
     assert abs(rep2.err_v - rep.err_v) <= 1e-12
     assert abs(rep2.err_p - rep.err_p) <= 1e-12
 
@@ -162,10 +155,9 @@ def test_error_norms_vanishing_denominator():
     case = coarse_case()
     st = case.initial_state()
     st.velocities[0] = np.zeros_like(st.velocities[0])
-    traj = Trajectory(case.system, [snapshot_of(st)])
     zeroed = _scaled_exact(case.exact, 0.0)
     with pytest.raises(ZeroDivisionError):
-        error_norms(traj, zeroed, 0.1)
+        error_norms(case.system, [st], zeroed, 0.1)
 
 
 def test_error_norm_symmetry_constant_U():
@@ -197,34 +189,31 @@ def test_run_to_periodicity_and_streaming_gap():
     case = coarse_case()
     res = run_to_periodicity(case, 0.05, eps_per=1e-6, max_periods=8)
     assert res.converged
-    assert res.trajectory is not None
-    assert len(res.trajectory.snapshots) == res.n_tau + 1
+    assert res.last_period is not None
+    assert len(res.last_period) == res.n_tau + 1
     assert res.final_gap < 1e-6
     assert res.errors is not None and res.errors.err_v > 0
     assert res.errors.period_index == res.periods
 
 
 def test_streaming_gap_matches_module_function():
-    # replay the same run collecting every snapshot; the tracker's per-period
+    # replay the same run collecting every state; the tracker's per-period
     # gaps must coincide with periodicity_gap applied to the full history
     case = coarse_case()
     n_per = periods_per_tau(case.tau, 0.05)
-    snaps = []
     state = case.initial_state()
-    snaps.append(snapshot_of(state))
-    from stokes0d import StepConfig, run
+    states = [state]
 
     def collect(record):
-        snaps.append(snapshot_of(record.state))
+        states.append(record.state)
 
     res = run_to_periodicity(case, 0.05, eps_per=1e-30, max_periods=3,
-                             collect_series=False, compute_errors=False)
-    state = case.initial_state()
+                             collect_series=False)
+    assert res.errors is None
     run(case.system, state, StepConfig(0.05, case.s_sub), 3 * n_per,
         observers=(collect,))
     for p in (2, 3):
-        full = Trajectory(case.system, snaps[:p * n_per + 1])
-        ref = periodicity_gap(full, n_per)
+        ref = periodicity_gap(case.system, states[:p * n_per + 1], n_per)
         assert abs(res.gaps[p] - ref) <= 1e-12 * max(ref, 1e-30)
 
 

@@ -52,3 +52,31 @@ def test_one_stage2_call_integrates_every_substep(monkeypatch):
     case = build_case(3, nx=8, ny=2)
     splitting.step2(case.system, case.initial_state(), 0.01, 5)
     assert calls == [5] * len(case.system.circuits)
+
+
+def test_stage1_solver_exposes_size_and_lu_factors():
+    # the benchmark reads n, nnz and the L+U fill from these attributes and
+    # reports zero fill when one of them is missing
+    solver = build_case(1, nx=8, ny=2).system.step1_solver(0.01)
+    lu = solver.factorization._lu
+    assert solver.n == solver.matrix.shape[0] and solver.matrix.nnz > 0
+    assert lu.L.nnz > 0 and lu.U.nnz > 0
+
+
+def test_drivers_call_run_through_the_splitting_module(monkeypatch):
+    # the benchmark times the stability-sweep steps by patching
+    # splitting.run, so the drivers must look it up there on every call
+    from stokes0d import harness
+    real = splitting.run
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "run", spy)
+    case = build_case(1, nx=8, ny=2)
+    harness.stability_run(case, 0.5, 3)
+    assert calls == [3]
+    res = harness.run_to_periodicity(case, 0.5, max_periods=2, collect_series=False)
+    assert calls == [3] + [res.n_tau] * res.periods and res.periods == 2

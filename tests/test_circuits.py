@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stokes0d import (CircuitSpec, CircuitState, Connection, Example1Params,
+from stokes0d import (CircuitSpec, Connection, Example1Params,
                       Example2Params, Example3Params, eval_B, example1_circuit,
                       example1_exact, example2_circuit, example2_exact,
                       example3_circuit, example3_exact, step2_integrate)
@@ -29,7 +29,8 @@ def test_eval_B_zero_dynamics():
 
 
 def test_eval_B_finite_difference_matches_analytic():
-    # U with explicit time dependence; dU/dt supplied vs differenced
+    # U with explicit time dependence: the differenced dU/dt against the
+    # analytic one, B = -U A - (1/2) dU/dt
     def U(y, t):
         return np.array([2.0 + np.sin(t), 1.0])
 
@@ -38,12 +39,12 @@ def test_eval_B_finite_difference_matches_analytic():
 
     A = lambda y, t: np.array([[0.0, 1.0], [-1.0, 0.0]])
     s = lambda t: np.zeros(np.shape(t) + (2,))
-    with_analytic = CircuitSpec(2, A, U, s, (), dU_dt=dU)
-    with_fd = CircuitSpec(2, A, U, s, ())
+    spec = CircuitSpec(2, A, U, s, ())
     y = np.array([0.3, -0.7])
-    Ba = eval_B(with_analytic, y, 0.4)
-    Bf = eval_B(with_fd, y, 0.4, dt_fd=1e-6)
+    Ba = -np.diag(U(y, 0.4)) @ A(y, 0.4) - 0.5 * np.diag(dU(y, 0.4))
+    Bf = eval_B(spec, y, 0.4, dt_fd=1e-6)
     assert np.max(np.abs(Ba - Bf)) <= 1e-8
+    assert np.array_equal(eval_B(spec, y, 0.4), -np.diag(U(y, 0.4)) @ A(y, 0.4))
 
 
 def test_quadratic_form_example2():
@@ -113,29 +114,28 @@ def test_step2_identity_when_quiescent():
     spec = CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
                        U=lambda y, t: np.ones(2),
                        s=lambda t: np.zeros(np.shape(t) + (2,)), connections=())
-    out = step2_integrate(spec, CircuitState(np.array([1.0, -2.0]), 0.0), 0.5, 4)
-    assert np.array_equal(out.y, [1.0, -2.0])
-    assert out.t == 2.0
+    y = step2_integrate(spec, np.array([1.0, -2.0]), 0.0, 4, 0.5)
+    assert np.array_equal(y, [1.0, -2.0])
 
 
 def test_step2_scalar_implicit_euler():
     spec = CircuitSpec(1, A=lambda y, t: np.array([[-1.0]]),
                        U=lambda y, t: np.ones(1),
                        s=lambda t: np.zeros(np.shape(t) + (1,)), connections=())
-    out = step2_integrate(spec, CircuitState(np.array([1.0]), 0.0), 0.1, 1)
-    assert abs(out.y[0] - 1.0 / 1.1) <= 1e-15
+    y = step2_integrate(spec, np.array([1.0]), 0.0, 1, 0.1)
+    assert abs(y[0] - 1.0 / 1.1) <= 1e-15
 
 
 @pytest.mark.parametrize("dt2", [1e-3, 1.0, 100.0])
 def test_step2_energy_decay_unforced(dt2):
     p = Example1Params()
     spec = example1_circuit(p, nonlinear=False)     # s = 0 without a generator
-    state = CircuitState(np.array([1.0, 0.01]), 0.0)
-    e_prev = energy(spec, state.y, 0.0)
+    y, t = np.array([1.0, 0.01]), 0.0
+    e_prev = energy(spec, y, t)
     assert abs(2.0 * e_prev - 0.011) <= 1e-15
     for _ in range(6):
-        state = step2_integrate(spec, state, dt2, 1)
-        e = energy(spec, state.y, state.t)
+        y, t = step2_integrate(spec, y, t, 1, dt2), t + dt2
+        e = energy(spec, y, t)
         assert e <= e_prev * (1.0 + 1e-14)
         e_prev = e
 
@@ -146,7 +146,7 @@ def test_step2_singular_system_detected():
                        s=lambda t: np.zeros(np.shape(t) + (1,)), connections=())
     # dt2 = 1/2 makes I - dt2 A exactly zero
     with pytest.raises(RuntimeError, match="singular"):
-        step2_integrate(spec, CircuitState(np.ones(1), 0.0), 0.5, 1)
+        step2_integrate(spec, np.ones(1), 0.0, 1, 0.5)
 
 
 def _forced_circuits():
@@ -166,16 +166,16 @@ def _forced_circuits():
     }
 
 
-def _step2_reference(spec, state, dt2, n_sub):
+def _step2_reference(spec, y, t, n_sub, dt2):
     """Stage 2 one substep at a time: A, the substep's source row,
     I - dt2 A and np.linalg.solve at every substep."""
-    sources = spec.s(state.t + np.arange(1, n_sub + 1) * dt2)
-    y = np.array(state.y, dtype=float)
+    sources = spec.s(t + np.arange(1, n_sub + 1) * dt2)
+    y = np.array(y, dtype=float)
     eye = np.eye(spec.dim)
     for k in range(n_sub):
-        t_new = state.t + (k + 1) * dt2
+        t_new = t + (k + 1) * dt2
         y = np.linalg.solve(eye - dt2 * spec.A(y, t_new), y + dt2 * sources[k])
-    return y, t_new
+    return y
 
 
 @pytest.mark.parametrize("dt2", [1e-4, 1e-2, 1.0, 100.0])
@@ -183,12 +183,10 @@ def _step2_reference(spec, state, dt2, n_sub):
 @pytest.mark.parametrize("name", list(_forced_circuits()))
 def test_step2_matches_the_substep_loop_bitwise(name, n_sub, dt2):
     spec, y_exact = _forced_circuits()[name]
-    state = CircuitState(y_exact(0.3), 0.3)
-    out = step2_integrate(spec, state, dt2, n_sub)
-    y_ref, t_ref = _step2_reference(spec, state, dt2, n_sub)
-    assert out.y.tobytes() == y_ref.tobytes()
-    assert out.t == t_ref
-    assert np.array_equal(state.y, y_exact(0.3))     # the input is not touched
+    y0 = y_exact(0.3)
+    y = step2_integrate(spec, y0, 0.3, n_sub, dt2)
+    assert y.tobytes() == _step2_reference(spec, y0, 0.3, n_sub, dt2).tobytes()
+    assert np.array_equal(y0, y_exact(0.3))     # the input is not touched
 
 
 @pytest.mark.parametrize("name", list(_forced_circuits()))
@@ -217,7 +215,7 @@ def test_step2_rejects_sources_of_the_wrong_shape():
                        U=lambda y, t: np.ones(2),
                        s=lambda t: np.zeros(2), connections=())
     with pytest.raises(ValueError, match="shape"):
-        step2_integrate(spec, CircuitState(np.ones(2), 0.0), 0.1, 4)
+        step2_integrate(spec, np.ones(2), 0.0, 4, 0.1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -239,11 +237,10 @@ def test_resistance_laws_at_a_very_negative_pressure():
 
 def test_step2_input_validation():
     spec = example1_circuit(Example1Params(), nonlinear=False)
-    st = CircuitState(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
-        step2_integrate(spec, st, -0.1, 1)
+        step2_integrate(spec, np.zeros(2), 0.0, 1, -0.1)
     with pytest.raises(ValueError):
-        step2_integrate(spec, st, 0.1, 0)
+        step2_integrate(spec, np.zeros(2), 0.0, 0, 0.1)
 
 
 def test_connection_validation():

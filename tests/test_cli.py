@@ -1,15 +1,29 @@
 import pytest
 
-from stokes0d.cli import RunConfig, emit_config, main, parse_config
+from stokes0d.cli import RunConfig, main, parse_config
 
 COARSE = ["--nx", "16", "--ny", "4"]
 
 
 def test_config_roundtrip():
-    cfg = RunConfig(example=2, nonlinear=False, dt=0.004, sub=7, nx=40, ny=8,
+    text = """# every key
+example = 2
+nonlinear = true
+dt = 0.004
+sub = 7
+nx = 40
+ny = 8
+max_periods = 4
+eps_per = 1e-7
+steps = 33
+dt_list = 0.01,0.002
+out = results
+set.R_b = 12.5
+"""
+    cfg = RunConfig(example=2, nonlinear=True, dt=0.004, sub=7, nx=40, ny=8,
                     max_periods=4, eps_per=1e-7, steps=33,
                     dt_list=(0.01, 0.002), overrides={"R_b": 12.5}, out="results")
-    assert parse_config(emit_config(cfg)) == cfg
+    assert parse_config(text) == cfg
 
 
 def test_config_parse_errors():
@@ -141,9 +155,8 @@ def test_stability_pass_and_explicit_control(capsys):
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = RunConfig(example=1, dt=0.05, nx=16, ny=4, max_periods=8)
     path = tmp_path / "run.cfg"
-    path.write_text(emit_config(cfg))
+    path.write_text("example = 1\ndt = 0.05\nnx = 16\nny = 4\nmax_periods = 8\n")
     rc = main(["verify-oracle", "--config", str(path), "--example", "3"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
@@ -156,7 +169,7 @@ def test_non_finite_override_rejected(tmp_path, capsys, value):
         assert rc == 2
         assert "R_b" in capsys.readouterr().err
     path = tmp_path / "run.cfg"
-    path.write_text(emit_config(RunConfig(nx=16, ny=4, overrides={"R_b": float(value)})))
+    path.write_text(f"nx = 16\nny = 4\nset.R_b = {value}\n")
     rc = main(["stability", "--config", str(path)])
     assert rc == 2
     assert "R_b" in capsys.readouterr().err

@@ -3,8 +3,7 @@ import pytest
 
 from stokes0d import (RectDomain, assemble_body_force, assemble_operators,
                       build_rect_mesh, build_space, exact_for, external,
-                      interface, interpolate_pressure, interpolate_velocity,
-                      l2_norms, wall)
+                      interface, interpolate_pressure, interpolate_velocity, wall)
 from stokes0d.fem import boundary_flux_vector
 from stokes0d.quadrature import duffy_rule, edge_rule, triangle_rule
 
@@ -122,30 +121,27 @@ def test_body_force_quadrature_oracle():
 
 
 def test_l2_norms_and_interpolation():
+    # squared L2 norms through the assembled forms: ||v||^2 = v.Mv,
+    # ||grad v||^2 = v.Kv, ||p||^2 = p.Mp p
     mesh, space, ops = make(8, 4)
     zero_v = np.zeros(space.n_velocity)
     zero_p = np.zeros(space.n_pressure)
-    assert l2_norms(space, mesh, zero_v, zero_p, ops) == (0.0, 0.0, 0.0)
+    assert (zero_v @ (ops.M @ zero_v), zero_v @ (ops.K @ zero_v),
+            zero_p @ (ops.Mp @ zero_p)) == (0.0, 0.0, 0.0)
 
     u = interpolate_velocity(space, mesh, lambda x, t: np.column_stack(
         [np.ones(len(x)), np.zeros(len(x))]), 0.0)
-    nv, ng, _ = l2_norms(space, mesh, u, zero_p, ops)
-    assert abs(nv - np.sqrt(20.0)) <= 1e-12
-    assert ng ** 2 <= 1e-12   # quadratic-form rounding floor
+    assert abs(np.sqrt(u @ (ops.M @ u)) - np.sqrt(20.0)) <= 1e-12
+    assert u @ (ops.K @ u) <= 1e-12   # quadratic-form rounding floor
 
     # P1 reproduces linears: p = x1, ||p||^2 = H L^3 / 3
     p = interpolate_pressure(space, mesh, lambda x, t: x[:, 0], 0.0)
-    _, _, npr = l2_norms(space, mesh, zero_v, p, ops)
-    assert abs(npr ** 2 - 2.0 * 1000.0 / 3.0) <= 1e-12 * 1000.0
+    assert abs(p @ (ops.Mp @ p) - 2.0 * 1000.0 / 3.0) <= 1e-12 * 1000.0
 
     # P2 reproduces quadratics: v = (x2^2, 0), |grad v|^2 integrates to 80/3
     u2 = interpolate_velocity(space, mesh, lambda x, t: np.column_stack(
         [x[:, 1] ** 2, np.zeros(len(x))]), 0.0)
-    _, ng2, _ = l2_norms(space, mesh, u2, zero_p, ops)
-    assert abs(ng2 ** 2 - 80.0 / 3.0) <= 1e-12 * 80.0
-
-    with pytest.raises(ValueError):
-        l2_norms(space, mesh, np.zeros(3), zero_p, ops)
+    assert abs(u2 @ (ops.K @ u2) - 80.0 / 3.0) <= 1e-12 * 80.0
 
 
 def test_exact_velocity_norm_paper_mesh():
@@ -153,5 +149,4 @@ def test_exact_velocity_norm_paper_mesh():
     mesh, space, ops = make(100, 20)
     exact = exact_for(1)
     u = interpolate_velocity(space, mesh, exact.domains[0].velocity, 0.0)
-    nv, _, _ = l2_norms(space, mesh, u, np.zeros(space.n_pressure), ops)
-    assert abs(nv ** 2 - 120.0) <= 1e-3 * 120.0
+    assert abs(u @ (ops.M @ u) - 120.0) <= 1e-3 * 120.0

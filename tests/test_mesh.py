@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stokes0d import (RectDomain, TagKind, build_rect_mesh, external,
-                      interface, wall, write_mesh)
+                      interface, wall)
 
 
 def channel_layout():
@@ -75,17 +75,3 @@ def test_invalid_inputs():
     bad["left"] = interface(1, 1, 1)  # duplicate id on two sides
     with pytest.raises(ValueError, match="duplicate"):
         build_rect_mesh(RectDomain(1.0, 1.0), 1, 1, bad)
-
-
-def test_mesh_dump_roundtrippable_text(tmp_path):
-    m = build_rect_mesh(RectDomain(2.0, 1.0), 2, 1, channel_layout())
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "VERTICES"
-    iv = text.index("TRIANGLES")
-    ib = text.index("BOUNDARY")
-    assert iv - 1 == m.n_vertices
-    assert ib - iv - 1 == m.n_triangles
-    assert len(text) - ib - 1 == len(m.boundary_edges)
-    assert any("interface 1 1 1" in line for line in text[ib + 1:])

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,12 +46,12 @@ def test_step1_consistency_relations():
     state = case.initial_state()
     for _ in range(3):
         mid = step1(case.system, state, 0.01)
-        for b in case.system.bindings:
-            iv = mid.interfaces[b.interface_id]
-            dom = case.system.domains[b.domain_index]
-            flux = float(dom.ops.flux[b.interface_id] @ mid.velocities[b.domain_index])
+        for d, _, conn in case.system.connections:
+            iv = mid.interfaces[conn.interface_id]
+            dom = case.system.domains[d]
+            flux = float(dom.ops.flux[conn.interface_id] @ mid.velocities[d])
             assert abs(iv.Q - flux) <= 1e-10 * max(1.0, abs(iv.Q))
-            assert abs(iv.P - iv.pi - b.connection.resistance * iv.Q) \
+            assert abs(iv.P - iv.pi - conn.resistance * iv.Q) \
                 <= 1e-10 * max(1.0, abs(iv.P))
         state = step2(case.system, mid, 0.01, 5)
 
@@ -63,8 +66,8 @@ def test_mass_conservation_of_stage1_solution():
         for d, dom in enumerate(case.system.domains):
             v = mid.velocities[d]
             total = float(dom.ops.sigma @ v)
-            total += sum(float(dom.ops.flux[b.interface_id] @ v)
-                         for b in case.system.bindings if b.domain_index == d)
+            total += sum(float(dom.ops.flux[conn.interface_id] @ v)
+                         for dc, _, conn in case.system.connections if dc == d)
             assert abs(total) <= 1e-10
         state = step2(case.system, mid, 0.01, 5)
 
@@ -121,7 +124,7 @@ def test_step1_identity_and_solve_accuracy_any_scaling(example, log_rho, log_mu,
 
 @pytest.mark.parametrize("explicit_pi", [False, True])
 def test_stage1_matrix_matches_block_definition(explicit_pi):
-    # benchmark 2: two domains, each with one binding to the same circuit
+    # benchmark 2: two domains, each with one connection to the same circuit
     case = coarse_case(2)
     dt = 0.01
     solver = case.system.step1_solver(dt, explicit_pi)
@@ -137,13 +140,12 @@ def test_stage1_matrix_matches_block_definition(explicit_pi):
         expected[solver.v_off[d]:solver.v_off[d] + len(free)] = (
             dom.rho / dt * (M @ v) + dom.mu * (K @ v) - D.T @ p)
         expected[solver.p_off[d]:solver.p_off[d] + len(p)] = D @ v
-    for b, binding in enumerate(case.system.bindings):
-        d = binding.domain_index
+    for b, (d, _, conn) in enumerate(case.system.connections):
         dom = case.system.domains[d]
         free = dom.space.free
         vo = solver.v_off[d]
-        phi = dom.ops.flux[binding.interface_id][free]
-        R, C = binding.connection.resistance, binding.connection.capacitance
+        phi = dom.ops.flux[conn.interface_id][free]
+        R, C = conn.resistance, conn.capacitance
         q, pi = x[solver.q_off[b]], x[solver.pi_off[b]]
         expected[vo:vo + len(free)] += R * q * phi
         if not explicit_pi:
@@ -206,7 +208,7 @@ def test_observers_see_each_step():
     seen = []
 
     def obs(record):
-        seen.append((record.step, record.t, record.interfaces[(1, 1, 1)].Q,
+        seen.append((record.step, record.state.t, record.state.interfaces[(1, 1, 1)].Q,
                      energy_report(case.system, record.state).total))
 
     run(case.system, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
@@ -219,8 +221,8 @@ def test_multidomain_example2_runs():
     case = coarse_case(2)
     state = run(case.system, case.initial_state(), StepConfig(0.01, 10), 5)
     assert len(state.velocities) == 2
-    for b in case.system.bindings:
-        iv = state.interfaces[b.interface_id]
+    for _, _, conn in case.system.connections:
+        iv = state.interfaces[conn.interface_id]
         assert np.isfinite(iv.P) and np.isfinite(iv.Q)
     # both interfaces feed one circuit; node pressures track the y entries
     assert state.interfaces[(1, 1, 1)].pi != state.interfaces[(2, 1, 1)].pi
@@ -239,12 +241,45 @@ def test_stage1_failure_identifies_interfaces(monkeypatch):
 
 
 def test_binding_validation():
-    from stokes0d.splitting import CoupledSystem, InterfaceBinding
+    from stokes0d.splitting import CoupledSystem
     case = coarse_case()
     dom = case.system.domains[0]
     circ = case.system.circuits[0]
-    with pytest.raises(ValueError):
-        CoupledSystem([dom], [circ], [])        # interface left unbound
-    bad = [InterfaceBinding((9, 9, 9), 0, 0, circ.connections[0])]
-    with pytest.raises(ValueError):
-        CoupledSystem([dom], [circ], bad)
+    conn = circ.connections[0]
+    unwired = dataclasses.replace(circ, connections=())
+    with pytest.raises(ValueError, match="do not match"):
+        CoupledSystem([dom], [unwired])         # mesh interface left unconnected
+    stray = dataclasses.replace(conn, interface_id=(9, 9, 9))
+    with pytest.raises(ValueError, match="no flow domain"):
+        CoupledSystem([dom], [dataclasses.replace(circ, connections=(stray,))])
+    # (1, 1, 1) held by the second circuit: its m names the first
+    with pytest.raises(ValueError, match="held by circuit 2"):
+        CoupledSystem([dom], [unwired, circ])
+    wired = CoupledSystem([dom], [circ])
+    assert wired.connections == [(0, 0, conn)]
+
+
+def _assert_states_equal(a, b):
+    assert a.t == b.t and a.interfaces == b.interfaces
+    for xs, ys in ((a.velocities, b.velocities), (a.pressures, b.pressures),
+                   (a.ys, b.ys)):
+        assert len(xs) == len(ys)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("example, nonlinear", [(1, True), (2, False), (3, False)])
+def test_run_never_mutates_a_state(example, nonlinear):
+    # observers, the period tracker and the series keep the states they are
+    # handed without copying them
+    case = coarse_case(example, nonlinear=nonlinear, nx=8, ny=2)
+    seen = []
+
+    def keep(record):
+        for state in (record.previous, record.intermediate, record.state):
+            seen.append((state, copy.deepcopy(state)))
+
+    run(case.system, case.initial_state(), StepConfig(0.01, case.s_sub), 20,
+        observers=(keep,))
+    assert len(seen) == 60
+    for state, snapshot in seen:
+        _assert_states_equal(state, snapshot)
