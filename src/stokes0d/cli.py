@@ -41,6 +41,8 @@ class RunConfig:
     out: str = ""
 
     def substeps(self) -> int:
+        if self.sub < 0:
+            raise ValueError(f"sub must be >= 0 (0 = per-example default), got sub={self.sub}")
         return self.sub if self.sub > 0 else DEFAULT_SUBSTEPS[self.example]
 
     def parameters(self):

@@ -84,6 +84,16 @@ class StokesSpace:
     def vdof(self, node, component):
         return component * self.n_scalar + np.asarray(node)
 
+    def node_grid(self) -> np.ndarray:
+        """(n_scalar, 2) index of each quadratic node on the grid of half
+        cells: the vertex in column i and row j of the distinct vertex
+        abscissae and ordinates sits at (2i, 2j), an edge midpoint halfway
+        between its end vertices."""
+        g = np.column_stack([np.unique(c, return_inverse=True)[1].ravel()
+                             for c in self.mesh.vertices.T])
+        e = self.mesh.edges
+        return np.vstack([2 * g, g[e[:, 0]] + g[e[:, 1]]])
+
 
 def build_space(mesh: TriangleMesh) -> StokesSpace:
     ns = mesh.n_vertices + mesh.n_edges

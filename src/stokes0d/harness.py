@@ -24,10 +24,11 @@ from .analysis import (EnergyReport, ErrorReport, convergence_rate,  # noqa: F40
                        energy_report, error_norms, step1_energy_residual,
                        step_energy_audit)
 from .cases import Case
-from .splitting import StepConfig
+from .splitting import StepConfig, check_positive
 
 
 def periods_per_tau(tau: float, dt: float) -> int:
+    check_positive("dt", dt)
     n = int(round(tau / dt))
     if n < 1 or abs(n * dt - tau) > 1e-9 * tau:
         raise ValueError(f"dt={dt} does not divide the period tau={tau}")
@@ -123,6 +124,9 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
 
     With max_periods = 0 the initial state is reported and nothing runs.
     """
+    if max_periods < 0:
+        raise ValueError(f"max_periods must be >= 0, got max_periods={max_periods}")
+    check_positive("eps_per", eps_per)
     system = case.system
     n_tau = periods_per_tau(case.tau, dt)
     s_sub = s_sub if s_sub is not None else case.s_sub
@@ -233,6 +237,11 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6,
     dts = [float(dt) for dt in dt_list]
     if len(dts) != len(set(dts)):
         raise ValueError(f"duplicate dt values: {dts}")
+    for dt in dts:
+        check_positive("dt", dt)
+    if max_periods < 1:
+        raise ValueError(f"max_periods must be >= 1, got max_periods={max_periods}")
+    check_positive("eps_per", eps_per)
     rows = []
     for dt in sorted(dts, reverse=True):
         case = case_builder()

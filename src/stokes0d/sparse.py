@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class SingularMatrixError(RuntimeError):
@@ -18,10 +17,10 @@ class SingularMatrixError(RuntimeError):
         super().__init__(f"singular {n}x{n} matrix in LU factorization ({where})")
 
 
-def _locate_zero_pivot(a: sp.csc_matrix) -> int | None:
+def _locate_zero_pivot(a: sp.csr_matrix) -> int | None:
     """Best-effort pivot diagnosis after a failed factorization."""
     n = a.shape[0]
-    nnz_row = np.diff(a.tocsr().indptr)
+    nnz_row = np.diff(a.indptr)
     empty = np.nonzero(nnz_row == 0)[0]
     if len(empty):
         return int(empty[0])
@@ -39,8 +38,10 @@ def _locate_zero_pivot(a: sp.csc_matrix) -> int | None:
 class LUFactorization:
     """Immutable LU factors; concurrent solves are safe.
 
-    With a permutation `perm`, the factors are those of A[perm][:, perm]
-    and `solve` permutes the right-hand side in and the solution back out.
+    The factors are those of the transpose of A[perm][:, perm] (of A itself
+    when `perm` is None), and `solve` runs SuperLU's transposed
+    substitutions on them, permuting the right-hand side in and the solution
+    back out.
     """
 
     def __init__(self, splu_obj, n: int, perm: np.ndarray | None = None):
@@ -61,9 +62,9 @@ class LUFactorization:
 
 def _permuted_solve(lu, perm, rhs: np.ndarray) -> np.ndarray:
     if perm is None:
-        return lu.solve(rhs)
+        return lu.solve(rhs, trans="T")
     x = np.empty_like(rhs)
-    x[perm] = lu.solve(rhs[perm])
+    x[perm] = lu.solve(rhs[perm], trans="T")
     return x
 
 
@@ -76,12 +77,13 @@ def _backward_error(a, x: np.ndarray, b: np.ndarray) -> float:
 
 # Above this backward error on the check solve, the diagonal-pivot factors are
 # dropped for a partial-pivoting factorization.  On the stage-1 systems of the
-# three benchmarks (100x20 and 200x40, dt 1e-3 to 10) the check reads at most
-# 2e-12.  With density and viscosity scaled down by up to 1e3 and dt up to 1e3
-# it reads up to 1e-7, and above 3e-11 the stage-1 energy identity of the
-# diagonal-pivot solution was off by up to 2e-7 (1e-12 with partial
-# pivoting): large pressures weight the residual left in the continuity rows.
-BACKWARD_ERROR_TOL = 3e-11
+# three benchmarks in nested-dissection order (20x4 to 200x40, dt 1e-3 to 10)
+# the check reads at most 4.0e-15.  With density and viscosity scaled by 1e-3
+# to 1e3 and dt from 1e-4 to 1e3 (20x4) it reads up to 8e-13, and wherever the
+# stage-1 energy identity of the diagonal-pivot solution was off by more than
+# 1e-9 (up to 2e-7) it read at least 7e-14: large pressures weight the
+# residual left in the continuity rows.
+BACKWARD_ERROR_TOL = 2e-14
 
 # A right-hand side whose largest entry lies below this is scaled by a power
 # of two to a largest entry in [0.5, 1) before the solve, and the solution is
@@ -93,9 +95,9 @@ BACKWARD_ERROR_TOL = 3e-11
 TINY_RHS = 2.0 ** -500
 
 
-def _factorize_symmetric(a: sp.csc_matrix) -> LUFactorization | None:
-    """Minimum degree on A+A^T after a reverse Cuthill-McKee renumbering,
-    keeping the diagonal pivot whenever it is nonzero.
+def _factorize_in_order(a: sp.csr_matrix, order: np.ndarray) -> LUFactorization | None:
+    """LU of the transpose of A[order][:, order] with the pivots taken on the
+    diagonal, in the given order, whenever they are nonzero.
 
     That suits matrices with a symmetric pattern such as the stage-1
     saddle-point system but can be unstable on others, so one solve with a
@@ -105,34 +107,35 @@ def _factorize_symmetric(a: sp.csc_matrix) -> LUFactorization | None:
     n = a.shape[0]
     if n == 0:
         return None
-    perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
     try:
-        lu = spla.splu(a[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(a[order][:, order].T, permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:
         return None
     b = a @ np.random.default_rng(0).standard_normal(n)
-    if _backward_error(a, _permuted_solve(lu, perm, b), b) <= BACKWARD_ERROR_TOL:
-        return LUFactorization(lu, n, perm)
+    if _backward_error(a, _permuted_solve(lu, order, b), b) <= BACKWARD_ERROR_TOL:
+        return LUFactorization(lu, n, order)
     return None
 
 
-def factorize(a) -> LUFactorization:
+def factorize(a, order=None) -> LUFactorization:
     """Sparse LU of a square matrix, factor once and solve many times.
 
-    Tries the symmetric ordering with diagonal pivots first and falls back to
-    COLAMD with partial pivoting (scipy's default) when that fails its check.
-    Pivot indices in SingularMatrixError refer to `a` as given.
+    `order` is the elimination order of the unknowns (default: as given); a
+    fill-reducing one is the caller's to supply.  Diagonal pivots in that
+    order are tried first, and COLAMD with partial pivoting (scipy's default)
+    is the fallback when they fail their check.  Pivot indices in
+    SingularMatrixError refer to `a` as given.
     """
-    a = sp.csc_matrix(a)
+    a = sp.csr_matrix(a)
     nr, nc = a.shape
     if nr != nc:
         raise ValueError(f"matrix must be square, got {nr}x{nc}")
-    f = _factorize_symmetric(a)
+    f = _factorize_in_order(a, np.arange(nr) if order is None else np.asarray(order))
     if f is not None:
         return f
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(a.T)
     except RuntimeError as err:
         if "singular" in str(err).lower():
             raise SingularMatrixError(_locate_zero_pivot(a), nr) from err

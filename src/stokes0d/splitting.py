@@ -17,11 +17,14 @@ communicate only through initial conditions:
            pressures are not touched.
 
 The stage-1 matrix does not depend on time, so it is factorized once per
-(dt, variant) and reused for every step of a run.
+(dt, variant) and reused for every step of a run.  Its unknowns are
+eliminated in nested-dissection order of each domain's quadratic node grid,
+computed once per system and shared by every dt.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,14 +66,19 @@ class CoupledState:
     t: float
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a value that is not a positive finite number, naming it."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {name}={value}")
+
+
 @dataclass(frozen=True)
 class StepConfig:
     dt: float
     s_sub: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_positive("dt", self.dt)
         if self.s_sub < 1:
             raise ValueError("s_sub must be >= 1")
 
@@ -105,6 +113,23 @@ class CoupledSystem:
             raise ValueError(f"connections {sorted(set(bound_ids))} do not "
                              f"match tagged mesh interfaces {sorted(mesh_ids)}")
 
+    @cached_property
+    def step1_order(self) -> np.ndarray:
+        """Elimination order of the stage-1 unknowns (in the layout of
+        `_Step1Solver`): each domain by nested dissection of its node grid,
+        a group's velocities before its pressures, the (Q, pi) pairs last."""
+        parts, off = [], 0
+        for dom in self.domains:
+            space = dom.space
+            node = np.concatenate([space.free % space.n_scalar,
+                                   np.arange(space.n_pressure)])
+            kind = np.repeat([0, 1], [len(space.free), space.n_pressure])
+            group = _dissection_keys(space.node_grid())[node]
+            parts.append(off + np.lexsort((node, kind, group)))
+            off += len(node)
+        parts.append(np.arange(off, off + 2 * len(self.connections)))
+        return np.concatenate(parts)
+
     def zero_state(self) -> CoupledState:
         vels = [np.zeros(d.space.n_velocity) for d in self.domains]
         prs = [np.zeros(d.space.n_pressure) for d in self.domains]
@@ -118,6 +143,37 @@ class CoupledSystem:
         if key not in self._step1_cache:
             self._step1_cache[key] = _Step1Solver(self, dt, explicit_pi)
         return self._step1_cache[key]
+
+
+def _dissection_keys(grid: np.ndarray) -> np.ndarray:
+    """Nested dissection of nodes at integer grid positions (i, j), level by
+    level for all boxes at once.
+
+    A box is cut along the even grid line nearest its middle, across its
+    wider side, into two halves and the separator on the line; boxes with no
+    even line strictly inside are leaves.  On the quadratic node grid of a
+    triangulation the even lines carry the vertices, and no element has
+    nodes on both sides of one.  Ascending keys number each box's lower
+    half, then its upper half, then its separator.
+    """
+    rows = np.arange(len(grid))
+    lo = np.zeros_like(grid)
+    hi = np.broadcast_to(grid.max(axis=0), grid.shape).copy()
+    key = np.zeros(len(grid), dtype=np.int64)
+    open_ = np.ones(len(grid), dtype=bool)
+    while open_.any():
+        cut = 2 * ((lo + hi + 2) // 4)
+        inside = (lo < cut) & (cut < hi)
+        wide = hi - lo
+        axis = (inside[:, 1] & (~inside[:, 0] | (wide[:, 1] > wide[:, 0]))).astype(np.intp)
+        c, pos = cut[rows, axis], grid[rows, axis]
+        open_ &= inside[rows, axis] & (pos != c)
+        upper = open_ & (pos > c)
+        lower = open_ & ~upper
+        key = 3 * key + np.where(open_, upper, 2)
+        hi[lower, axis[lower]] = c[lower] - 1
+        lo[upper, axis[upper]] = c[upper] + 1
+    return key
 
 
 class _Step1Solver:
@@ -183,7 +239,7 @@ class _Step1Solver:
         rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
         self.matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         try:
-            self.factorization = sparse.factorize(self.matrix)
+            self.factorization = sparse.factorize(self.matrix, system.step1_order)
         except Exception as err:
             raise RuntimeError(
                 f"stage-1 factorization failed for {self._describe()}: {err}") from err

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stokes0d import (CoupledState, Example1Params, StepConfig, build_case,
-                      convergence_rate, error_norms, example1_circuit, params_for,
-                      periods_per_tau, run, run_to_periodicity, stability_run)
+                      convergence_rate, convergence_study, error_norms,
+                      example1_circuit, params_for, periods_per_tau, run,
+                      run_to_periodicity, stability_run)
 from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.circuits import energy
 
@@ -223,6 +224,36 @@ def test_run_to_periodicity_max_periods_zero():
     assert not res.converged and res.periods == 0
     assert len(res.series) == 1
     assert res.series[0].energy.e_omega > 0
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, float("nan"), float("inf")])
+def test_time_step_checked_before_use(dt):
+    with pytest.raises(ValueError, match="dt="):
+        StepConfig(dt)
+    with pytest.raises(ValueError, match="dt="):
+        periods_per_tau(1.0, dt)
+
+
+def _never_built():
+    raise AssertionError("the case was built before the arguments were checked")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_periods": -1}, "max_periods"), ({"eps_per": -1.0}, "eps_per"),
+    ({"eps_per": float("nan")}, "eps_per"), ({"eps_per": 0.0}, "eps_per")])
+def test_run_length_checked_before_running(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name}="):
+        run_to_periodicity(coarse_case(nx=8, ny=2), 0.05, **kwargs)
+    with pytest.raises(ValueError, match=f"{name}="):
+        convergence_study(_never_built, [0.05], **kwargs)
+
+
+def test_convergence_study_checks_every_dt_and_a_period_budget():
+    # max_periods = 0 can never converge, and a bad dt fails before any run
+    with pytest.raises(ValueError, match="max_periods="):
+        convergence_study(_never_built, [0.05], max_periods=0)
+    with pytest.raises(ValueError, match="dt="):
+        convergence_study(_never_built, [0.05, float("nan")])
 
 
 def test_stability_run_fails_when_the_energy_goes_nan():

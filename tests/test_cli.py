@@ -192,3 +192,25 @@ def test_non_positive_circuit_element_rejected(tmp_path, capsys, example, overri
     out = capsys.readouterr().out
     assert rc == 1
     assert out.startswith("FAIL parameter_validity") and name in out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--dt", "0"], "dt"),
+    (["simulate", "--dt", "nan"], "dt"),
+    (["simulate", "--dt", "-0.05"], "dt"),
+    (["convergence", "--dt-list", "0.05,0"], "dt"),
+    (["convergence", "--dt-list", "0.5,inf"], "dt"),
+    (["stability", "--dt-list", "nan"], "dt"),
+    (["simulate", "--max-periods", "-1"], "max_periods"),
+    (["convergence", "--dt-list", "0.5", "--max-periods", "-1"], "max_periods"),
+    (["convergence", "--dt-list", "0.5", "--max-periods", "0"], "max_periods"),
+    (["simulate", "--eps-per", "-1"], "eps_per"),
+    (["convergence", "--dt-list", "0.5", "--eps-per", "nan"], "eps_per"),
+    (["simulate", "--sub", "-1"], "sub"),
+    (["stability", "--sub", "-1", "--dt-list", "1"], "sub"),
+])
+def test_invalid_run_settings_rejected(tmp_path, capsys, argv, name):
+    rc = main([*argv, "--nx", "8", "--ny", "2", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and f" {name}=" in err

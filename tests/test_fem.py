@@ -57,6 +57,14 @@ def test_space_counts_small():
     assert len(space.constrained) == 12
 
 
+def test_node_grid_is_the_half_cell_grid():
+    # every quadratic node sits on the (2 nx + 1) x (2 ny + 1) grid of half cells
+    mesh, space, _ = make(5, 3)
+    g = space.node_grid()
+    assert np.allclose(space.nodes, g * [10.0 / 10, 2.0 / 6] + [0.0, -1.0])
+    assert len(np.unique(g[:, 0] * 7 + g[:, 1])) == space.n_scalar == 11 * 7
+
+
 def test_space_counts_paper_mesh():
     mesh, space, _ = make(100, 20)
     assert space.n_velocity == 16482

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from stokes0d import SingularMatrixError, build_case, factorize
-from stokes0d.sparse import TINY_RHS, _permuted_solve
+from stokes0d.sparse import TINY_RHS
 
 
 def normwise_backward_error(a, x, b):
@@ -71,14 +70,14 @@ def test_nonsquare_rejected():
 
 
 def test_singular_pivot_in_callers_numbering():
-    # chain 0-2-3-4 with row/col 1 empty; the symmetric ordering moves row 1
+    # chain 0-2-3-4 with row/col 1 empty; the elimination order moves row 1
     rows = [0, 2, 3, 4, 0, 2, 2, 3, 3, 4]
     cols = [0, 2, 3, 4, 2, 0, 3, 2, 4, 3]
     a = sp.csr_matrix(([4.0] * 4 + [1.0] * 6, (rows, cols)), shape=(5, 5))
-    perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
-    assert perm[1] != 1
+    order = np.array([4, 3, 0, 2, 1])
+    assert order[1] != 1
     with pytest.raises(SingularMatrixError) as err:
-        factorize(a)
+        factorize(a, order)
     assert err.value.pivot == 1
 
 
@@ -99,17 +98,35 @@ def stage1_solver_50x10(request):
     return build_case(request.param, nx=50, ny=10).system.step1_solver(0.01)
 
 
-def test_stage1_keeps_symmetric_ordering(stage1_solver_50x10):
-    f = stage1_solver_50x10.factorization
-    assert f.perm is not None
-    b = np.random.default_rng(1).standard_normal(f.n)
-    assert normwise_backward_error(stage1_solver_50x10.matrix, f.solve(b), b) <= 1e-14
+STAGE1_DTS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_stage1_keeps_symmetric_ordering(example):
+    # at the paper's parameters the diagonal pivots pass the check: no fallback
+    meshes = [(20, 4, STAGE1_DTS), (50, 10, STAGE1_DTS)]
+    if example == 1:
+        meshes.append((100, 20, (1e-3, 10.0)))
+    for nx, ny, dts in meshes:
+        system = build_case(example, nx=nx, ny=ny).system
+        for dt in dts:
+            solver = system.step1_solver(dt)
+            f = solver.factorization
+            assert f.perm is system.step1_order
+            b = np.random.default_rng(1).standard_normal(f.n)
+            assert normwise_backward_error(solver.matrix, f.solve(b), b) <= 1e-14
 
 
 def test_stage1_fill_below_default_ordering(stage1_solver_50x10):
     lu = stage1_solver_50x10.factorization._lu
     ref = spla.splu(stage1_solver_50x10.matrix.tocsc())
     assert lu.L.nnz + lu.U.nnz <= 0.75 * (ref.L.nnz + ref.U.nnz)
+
+
+def test_stage1_fill_of_benchmark_1():
+    # nested dissection; reverse Cuthill-McKee with minimum degree gave 2 923 332
+    lu = build_case(1, nx=100, ny=20).system.step1_solver(0.01).factorization._lu
+    assert lu.L.nnz + lu.U.nnz <= 2_300_000
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3])
@@ -130,7 +147,9 @@ def test_tiny_rhs_solve_is_the_scaled_solve(stage1_lu_20x4):
 
 def test_normal_rhs_solve_is_not_scaled(stage1_lu_20x4):
     f, b = stage1_lu_20x4
-    assert f.solve(b).tobytes() == _permuted_solve(f._lu, f.perm, b).tobytes()
+    x = np.empty_like(b)
+    x[f.perm] = f._lu.solve(b[f.perm], trans="T")
+    assert f.solve(b).tobytes() == x.tobytes()
 
 
 def test_zero_and_nan_rhs(stage1_lu_20x4):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stokes0d import StepConfig, build_case, params_for, run, step1, step2
 from stokes0d.analysis import energy_report, step1_energy_residual
+from stokes0d.splitting import _dissection_keys
 
 
 def normwise_backward_error(a, x, b):
@@ -95,7 +96,10 @@ def test_step1_energy_identity_with_forcing():
 
 
 @settings(max_examples=25, deadline=None)
-# without the fallback, diagonal pivots leave an identity residual of 6e-8 here
+# without the fallback, diagonal pivots leave an identity residual of 2e-8 to
+# 2e-7 at these three, and a check bound of 3e-11 let the first two through
+@example(example=1, log_rho=-2.0, log_mu=-3.0, log_dt=3.0)
+@example(example=1, log_rho=-3.0, log_mu=-3.0, log_dt=3.0)
 @example(example=2, log_rho=-3.0, log_mu=-3.0, log_dt=3.0)
 @given(example=st.sampled_from([1, 2, 3]),
        log_rho=st.floats(-3, 3), log_mu=st.floats(-3, 3), log_dt=st.floats(-4, 3))
@@ -238,6 +242,73 @@ def test_stage1_failure_identifies_interfaces(monkeypatch):
     monkeypatch.setattr(solver.factorization, "solve", boom)
     with pytest.raises(RuntimeError, match=r"\(1, 1, 1\)"):
         step1(case.system, case.initial_state(), 0.01)
+
+
+def test_dissection_of_a_line_of_nodes():
+    # cut at the vertex line 2; neither half has an even line strictly inside
+    keys = _dissection_keys(np.column_stack([np.arange(5), np.zeros(5, dtype=int)]))
+    assert list(np.argsort(keys, kind="stable")) == [0, 1, 3, 4, 2]
+
+
+def _base3_digits(keys):
+    width = 1
+    while 3 ** width <= keys.max():
+        width += 1
+    return keys[:, None] // 3 ** np.arange(width - 1, -1, -1) % 3
+
+
+@pytest.mark.parametrize("example, nx, ny", [(1, 20, 4), (2, 7, 3), (3, 13, 5)])
+def test_step1_order_is_a_nested_dissection(example, nx, ny):
+    system = coarse_case(example, nx=nx, ny=ny).system
+    solver = system.step1_solver(0.01)
+    order = system.step1_order
+    assert np.array_equal(np.sort(order), np.arange(solver.n))
+    n_border = 2 * len(system.connections)
+    assert np.array_equal(order[solver.n - n_border:],
+                          np.arange(solver.n - n_border, solver.n))
+    a = solver.matrix.tocoo()
+    start = 0
+    for d, dom in enumerate(system.domains):
+        space = dom.space
+        node = np.concatenate([space.free % space.n_scalar, np.arange(space.n_pressure)])
+        kind = np.repeat([0, 1], [len(space.free), space.n_pressure])
+        group = _dissection_keys(space.node_grid())[node]
+        local = order[start:start + len(node)] - solver.v_off[d]
+        start += len(node)
+        assert np.array_equal(np.sort(local), np.arange(len(node)))
+        # groups in ascending key order, each one's velocities before its pressures
+        g, k = group[local], kind[local]
+        assert np.all((np.diff(g) > 0) | ((np.diff(g) == 0) & (np.diff(k) >= 0)))
+        # no entry couples the two halves of a box: where two coupled unknowns'
+        # dissection paths part, one of them lies on the separator
+        inside = ((a.row >= solver.v_off[d]) & (a.row < solver.v_off[d] + len(node))
+                  & (a.col >= solver.v_off[d]) & (a.col < solver.v_off[d] + len(node)))
+        digits = _base3_digits(group)
+        di = digits[a.row[inside] - solver.v_off[d]]
+        dj = digits[a.col[inside] - solver.v_off[d]]
+        parted = np.any(di != dj, axis=1)
+        first = np.argmax(di != dj, axis=1)[parted]
+        rows = np.arange(len(di))[parted]
+        assert parted.any()
+        assert np.all((di[rows, first] == 2) | (dj[rows, first] == 2))
+
+
+def test_stability_sweep_shares_one_step1_order(monkeypatch):
+    from stokes0d import harness, splitting
+    calls = []
+    real = splitting._dissection_keys
+
+    def counted(grid):
+        calls.append(len(grid))
+        return real(grid)
+
+    monkeypatch.setattr(splitting, "_dissection_keys", counted)
+    case = coarse_case(zero_forcing=True, nx=8, ny=2)
+    for dt in (0.1, 1.0, 10.0):
+        harness.stability_run(case, dt, 2)
+    perms = [case.system.step1_solver(dt).factorization.perm for dt in (0.1, 1.0, 10.0)]
+    assert len(calls) == len(case.system.domains)
+    assert all(p is case.system.step1_order for p in perms)
 
 
 def test_binding_validation():
