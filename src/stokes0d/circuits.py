@@ -14,6 +14,8 @@ positive definite B meaning the interior circuit only dissipates.
 `step2_integrate` advances the interior dynamics (A y + s, without b) by
 subcycled implicit Euler with the nonlinear coefficients frozen at each
 substep's start state, which is the second half of the splitting scheme.
+It is handed the sources s of its substeps: the splitting evaluates s once
+for a whole block of steps.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ class CircuitSpec:
                                 # one array object, never changed in place
     U: Callable                 # (y, t) -> (dim,) positive diagonal entries
     s: Callable                 # t -> shape(t) + (dim,): generator sources,
-                                # one row per time of an array t
+                                # one row per time of an array t, each equal
+                                # bitwise to s of that time alone
     connections: tuple
 
     def __post_init__(self):
@@ -83,29 +86,29 @@ def energy(spec: CircuitSpec, y, t) -> float:
 
 
 def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
-                    dt2: float) -> np.ndarray:
+                    dt2: float, sources) -> np.ndarray:
     """Advance the interior dynamics from y at time t by n_sub implicit-Euler
     substeps of size dt2 and return the new state; y itself is not changed.
 
     Each substep solves (I - dt2 A(y, t_new)) y_new = y + dt2 s(t_new)
     with t_new the substep end time; nonlinear coefficients are frozen at
-    the substep's start state y.  The sources of all substeps come from one
-    call of s, and the LU factors of I - dt2 A are reused for as long as A
-    returns the same array object.
+    the substep's start state y.  `sources` holds s(t_new) of every
+    substep, shape (n_sub, dim): the caller evaluates s, for many steps at
+    once.  The LU factors of I - dt2 A are reused for as long as A returns
+    the same array object.
     """
     if dt2 <= 0:
         raise ValueError("dt2 must be positive")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
+    if np.shape(sources) != (n_sub, spec.dim):
+        raise ValueError(f"sources of {n_sub} substeps have shape "
+                         f"{np.shape(sources)}, expected {(n_sub, spec.dim)}")
     times = t + np.arange(1, n_sub + 1) * dt2
-    sources = dt2 * spec.s(times)
-    if sources.shape != (n_sub, spec.dim):
-        raise ValueError(f"s(t) of {n_sub} times has shape {sources.shape}, "
-                         f"expected {(n_sub, spec.dim)}")
     eye = np.eye(spec.dim)
     y = np.asarray(y, dtype=float)
     factored = None
-    for t_new, source in zip(times.tolist(), sources):
+    for t_new, source in zip(times.tolist(), dt2 * sources):
         A = spec.A(y, t_new)
         if A is not factored:
             lu, piv, info = dgetrf(eye - dt2 * A)

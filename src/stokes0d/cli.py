@@ -16,6 +16,7 @@ from .exact import verify_exact
 from .harness import (convergence_study, peak_errors, run_to_periodicity,
                       stability_run)
 from .params import params_for
+from .splitting import check_positive
 
 CONVERGENCE_DTS = (0.01, 0.005, 0.001)
 STABILITY_DTS = (0.1, 1.0, 10.0)
@@ -201,6 +202,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 def cmd_stability(cfg: RunConfig, explicit_pi: bool = False) -> int:
     dts = cfg.dt_list if cfg.dt_list else STABILITY_DTS
+    for dt in dts:      # every dt before any run, not one sweep at a time
+        check_positive("dt", dt)
+    s_sub = cfg.substeps()
     case = build_case(cfg.example, nonlinear=False, nx=cfg.nx, ny=cfg.ny,
                       params=cfg.parameters(), zero_forcing=True)
     lines = ["[stability]", f"example = {cfg.example}", f"steps = {cfg.steps}",
@@ -208,7 +212,7 @@ def cmd_stability(cfg: RunConfig, explicit_pi: bool = False) -> int:
              "dt,E0,max_increase,chain_violation,identity_residual,verdict"]
     ok = True
     for dt in dts:
-        rep = stability_run(case, dt, cfg.steps, s_sub=cfg.substeps(),
+        rep = stability_run(case, dt, cfg.steps, s_sub=s_sub,
                             explicit_pi=explicit_pi)
         passed = rep.passed()
         ok = ok and passed

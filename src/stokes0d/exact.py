@@ -33,6 +33,9 @@ class DomainExact:
     dv_dt: Callable             # (points, t) -> (N, 2)
     force_terms: tuple          # ((c(t), g(points)), ...), force per unit mass
     pbar: Optional[Callable]    # t -> external pressure, None without a Neumann side
+    # c and pbar broadcast: on an array of times they return an array of its
+    # shape, each entry equal bitwise to the value at that time alone, so a
+    # run evaluates them once for a block of steps
 
     def force(self, points, t):
         out = np.zeros((len(points), 2))

@@ -250,7 +250,10 @@ class TimeSeparableLoad:
     """Load vector of the form sum_j c_j(t) * F_j with the F_j preassembled.
 
     The manufactured forcings factor into time coefficients times fixed
-    spatial fields, so the per-step cost reduces to a few axpys.
+    spatial fields, so the per-step cost reduces to a few axpys.  Each
+    c_j broadcasts: on an array of times it returns an array of their
+    shape, each entry equal bitwise to c_j of that time alone, so the
+    coefficients of many steps come from one call.
     """
 
     def __init__(self, space, mesh, terms):
@@ -261,11 +264,26 @@ class TimeSeparableLoad:
             for _, g in terms
         ]
 
-    def __call__(self, t: float) -> np.ndarray:
-        out = np.zeros_like(self.vectors[0])
-        for c, vec in zip(self.coeffs, self.vectors):
-            out += c(t) * vec
+    def coefficients(self, t) -> np.ndarray:
+        """c_j(t) of every term, shape np.shape(t) + (terms,)."""
+        out = np.empty(np.shape(t) + (len(self.coeffs),))
+        for j, c in enumerate(self.coeffs):
+            value = np.asarray(c(t), dtype=float)
+            if value.shape != np.shape(t):
+                raise ValueError(f"load coefficient {j} of times shaped {np.shape(t)} "
+                                 f"has shape {value.shape}")
+            out[..., j] = value
         return out
+
+    def vector(self, coefficients) -> np.ndarray:
+        """The load sum_j coefficients[j] F_j of one time's coefficients."""
+        out = np.zeros_like(self.vectors[0])
+        for c, vec in zip(coefficients, self.vectors):
+            out += c * vec
+        return out
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.vector(self.coefficients(t))
 
 
 def interpolate_velocity(space: StokesSpace, mesh: TriangleMesh, field, t: float) -> np.ndarray:

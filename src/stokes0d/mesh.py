@@ -65,14 +65,12 @@ class TriangleMesh:
     vertices      (V, 2) coordinates
     triangles     (T, 3) vertex indices, counterclockwise
     edges         (E, 2) vertex index pairs, sorted within each pair
-    edge_index    map (v0, v1) sorted pair -> edge id
     boundary_edges  map edge id -> BoundaryTag
     """
     domain: RectDomain
     vertices: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray
-    edge_index: dict
     boundary_edges: dict
 
     @property
@@ -90,15 +88,21 @@ class TriangleMesh:
     def edge_midpoints(self) -> np.ndarray:
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
 
+    def edge_ids(self, pairs) -> np.ndarray:
+        """Ids of the edges joining the vertex pairs (..., 2), either order."""
+        pairs = np.asarray(pairs)
+        keys = _pair_keys(pairs, self.n_vertices)
+        edge_keys = _pair_keys(self.edges, self.n_vertices)
+        order = np.argsort(edge_keys)
+        ids = order[np.minimum(np.searchsorted(edge_keys, keys, sorter=order),
+                               len(order) - 1)]
+        if not np.array_equal(edge_keys[ids], keys):
+            raise KeyError("vertex pairs that are not edges of the mesh")
+        return ids
+
     def triangle_edges(self) -> np.ndarray:
         """(T, 3) edge ids; local edge i is opposite local vertex i."""
-        tri = self.triangles
-        out = np.empty((len(tri), 3), dtype=np.int64)
-        for loc, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            for t in range(len(tri)):
-                key = (min(tri[t, a], tri[t, b]), max(tri[t, a], tri[t, b]))
-                out[t, loc] = self.edge_index[key]
-        return out
+        return self.edge_ids(self.triangles[:, _OPPOSITE])
 
     def signed_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -122,6 +126,16 @@ class TriangleMesh:
             if tag.kind is TagKind.INTERFACE and tag.interface_id not in seen:
                 seen.append(tag.interface_id)
         return sorted(seen)
+
+
+# local vertex pairs of the edges opposite local vertices 0, 1, 2
+_OPPOSITE = np.array([[1, 2], [2, 0], [0, 1]])
+
+
+def _pair_keys(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
+    """One integer per unordered vertex pair of (..., 2) pairs."""
+    a, b = pairs[..., 0], pairs[..., 1]
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
 
 
 def build_rect_mesh(domain: RectDomain, nx: int, ny: int, layout: dict) -> TriangleMesh:
@@ -148,43 +162,33 @@ def build_rect_mesh(domain: RectDomain, nx: int, ny: int, layout: dict) -> Trian
     def vid(i, j):
         return j * (nx + 1) + i
 
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # split along the v00 -> v11 diagonal; both triangles CCW
-            triangles[t] = (v00, v10, v11)
-            triangles[t + 1] = (v00, v11, v01)
-            t += 2
+    # cells row by row, each split along its v00 -> v11 diagonal into two
+    # counterclockwise triangles
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v00, v10, v01, v11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+    triangles = np.stack([np.column_stack([v00, v10, v11]),
+                          np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
 
-    edge_index: dict = {}
-    edge_list: list = []
-    for tri in triangles:
-        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
-            key = (min(a, b), max(a, b))
-            if key not in edge_index:
-                edge_index[key] = len(edge_list)
-                edge_list.append(key)
-    edges = np.asarray(edge_list, dtype=np.int64)
+    # edges numbered in order of first appearance, triangle by triangle
+    pairs = np.sort(triangles[:, _OPPOSITE], axis=-1).reshape(-1, 2)
+    _, first = np.unique(_pair_keys(pairs, len(vertices)), return_index=True)
+    edges = pairs[np.sort(first)]
 
-    boundary_edges: dict = {}
-
-    def tag_side(pairs, side):
-        for a, b in pairs:
-            key = (min(a, b), max(a, b))
-            boundary_edges[edge_index[key]] = layout[side]
-
-    tag_side([(vid(0, j), vid(0, j + 1)) for j in range(ny)], "left")
-    tag_side([(vid(nx, j), vid(nx, j + 1)) for j in range(ny)], "right")
-    tag_side([(vid(i, ny), vid(i + 1, ny)) for i in range(nx)], "top")
-    tag_side([(vid(i, 0), vid(i + 1, 0)) for i in range(nx)], "bottom")
+    mesh = TriangleMesh(domain, vertices, triangles, edges, {})
+    sides = {
+        "left": (vid(0, np.arange(ny)), vid(0, np.arange(1, ny + 1))),
+        "right": (vid(nx, np.arange(ny)), vid(nx, np.arange(1, ny + 1))),
+        "top": (vid(np.arange(nx), ny), vid(np.arange(1, nx + 1), ny)),
+        "bottom": (vid(np.arange(nx), 0), vid(np.arange(1, nx + 1), 0)),
+    }
+    for side, (a, b) in sides.items():
+        for eid in mesh.edge_ids(np.column_stack([a, b])).tolist():
+            mesh.boundary_edges[eid] = layout[side]
 
     # interface ids must be unique over the boundary pieces of this mesh
     ids = [tag.interface_id for tag in layout.values() if tag.kind is TagKind.INTERFACE]
     if len(ids) != len(set(ids)):
         raise ValueError(f"duplicate interface ids in layout: {ids}")
 
-    return TriangleMesh(domain, vertices, triangles, edges, edge_index, boundary_edges)
+    return mesh
 

@@ -16,6 +16,12 @@ communicate only through initial conditions:
            dt2 = dt / s_sub by semi-implicit Euler; velocities and
            pressures are not touched.
 
+Both stages are driven by known functions of time only: the body loads and
+external pressures of stage 1 at each step's end time, the generator
+sources of stage 2 at each substep's end time.  A run evaluates each of
+them once per block of up to BLOCK_STEPS steps, in one call on the block's
+whole time grid, and hands every step its slice.
+
 The stage-1 matrix does not depend on time, so it is factorized once per
 (dt, variant) and reused for every step of a run.  Its unknowns are
 eliminated in nested-dissection order of each domain's quadratic node grid,
@@ -32,7 +38,7 @@ import scipy.sparse as sp
 
 from . import sparse
 from .circuits import step2_integrate
-from .fem import AssembledOperators, StokesSpace
+from .fem import AssembledOperators, StokesSpace, TimeSeparableLoad
 from .mesh import TriangleMesh
 
 
@@ -44,8 +50,9 @@ class Domain:
     ops: AssembledOperators
     rho: float
     mu: float
-    body_load: Optional[Callable] = None   # t -> momentum load (rho-scaled), full dofs
-    pbar: Optional[Callable] = None        # t -> external pressure on the Neumann side
+    body_load: Optional[TimeSeparableLoad] = None   # momentum load (rho-scaled), full dofs
+    pbar: Optional[Callable] = None   # t -> external pressure on the Neumann side,
+                                      # shape np.shape(t) for an array t
 
 
 @dataclass(frozen=True)
@@ -249,18 +256,19 @@ class _Step1Solver:
         return (f"{len(self.system.domains)} domain(s) with interfaces [{ifs}] "
                 f"at dt={self.dt}")
 
-    def solve(self, state: CoupledState) -> CoupledState:
+    def solve(self, state: CoupledState, loads) -> CoupledState:
+        """Stage 1 from `state`, with `loads` the step's slice of
+        `stage1_loads` (one pair per domain)."""
         sys_ = self.system
-        t_new = state.t + self.dt
         rhs = np.zeros(self.n)
-        for d, dom in enumerate(sys_.domains):
+        for d, (dom, (coefficients, pbar)) in enumerate(zip(sys_.domains, loads)):
             free = dom.space.free
             vo = self.v_off[d]
             r = (dom.rho / self.dt) * (self.Mff[d] @ state.velocities[d][free])
-            if dom.body_load is not None:
-                r += dom.body_load(t_new)[free]
-            if dom.pbar is not None:
-                r -= float(dom.pbar(t_new)) * dom.ops.sigma[free]
+            if coefficients is not None:
+                r += dom.body_load.vector(coefficients)[free]
+            if pbar is not None:
+                r -= float(pbar) * dom.ops.sigma[free]
             rhs[vo:vo + len(free)] = r
         for b, (d, m, conn) in enumerate(sys_.connections):
             pi_n = state.ys[m][conn.pi_index]
@@ -296,24 +304,84 @@ class _Step1Solver:
         return CoupledState(vels, prs, ys, interfaces, state.t)
 
 
+# A run evaluates its time-only inputs for at most this many steps at once,
+# so a long run holds arrays of a bounded size.
+BLOCK_STEPS = 2048
+
+
+def step_times(t: float, dt: float, n_steps: int) -> np.ndarray:
+    """The clock of n_steps steps from t: t, t + dt, (t + dt) + dt, ...
+    (n_steps + 1 times), the same sums in the same order as each step's
+    `state.t + dt`, so every time equals the state's clock bitwise."""
+    return np.add.accumulate(np.concatenate(([t], np.full(n_steps, dt))))
+
+
+def stage1_loads(system: CoupledSystem, ends: np.ndarray) -> list:
+    """Per domain, the body-load coefficients, shape (n, terms), and the
+    external pressure, shape (n,), at the n step end times `ends`; None
+    where a domain has no such load."""
+    out = []
+    for d, dom in enumerate(system.domains):
+        coefficients = pbar = None
+        if dom.body_load is not None:
+            coefficients = dom.body_load.coefficients(ends)
+        if dom.pbar is not None:
+            pbar = np.asarray(dom.pbar(ends), dtype=float)
+            if pbar.shape != ends.shape:
+                raise ValueError(f"domain {d + 1}: pbar of {len(ends)} times has "
+                                 f"shape {pbar.shape}, expected {ends.shape}")
+        out.append((coefficients, pbar))
+    return out
+
+
+def stage2_sources(system: CoupledSystem, starts: np.ndarray, dt: float,
+                   s_sub: int) -> list:
+    """Per circuit, the generator sources at the substep end times of the
+    steps that start at `starts`, shape (n, s_sub, dim)."""
+    times = starts[:, None] + np.arange(1, s_sub + 1) * (dt / s_sub)
+    out = []
+    for m, spec in enumerate(system.circuits):
+        sources = spec.s(times)
+        if sources.shape != times.shape + (spec.dim,):
+            raise ValueError(f"circuit {m + 1}: s(t) of times shaped {times.shape} "
+                             f"has shape {sources.shape}, expected "
+                             f"{times.shape + (spec.dim,)}")
+        out.append(sources)
+    return out
+
+
+def _loads_of_step(loads, k: int) -> list:
+    return [(None if c is None else c[k], None if p is None else p[k])
+            for c, p in loads]
+
+
 def step1(system: CoupledSystem, state: CoupledState, dt: float,
-          explicit_pi: bool = False) -> CoupledState:
+          explicit_pi: bool = False, loads=None) -> CoupledState:
     """Stage 1: one implicit step of the flow/interface subsystem.
 
     Returns the intermediate state: velocities and pressures at the new
     time level, circuit node pressures updated, remaining circuit entries
     copied unchanged.  The state's clock still marks the interval start;
-    stage 2 advances it.
+    stage 2 advances it.  `loads` is this step's slice of `stage1_loads`,
+    as `run` hands it over; without it the step evaluates its own.
     """
-    return system.step1_solver(dt, explicit_pi).solve(state)
+    if loads is None:
+        loads = _loads_of_step(stage1_loads(system, step_times(state.t, dt, 1)[1:]), 0)
+    return system.step1_solver(dt, explicit_pi).solve(state, loads)
 
 
 def step2(system: CoupledSystem, state: CoupledState, dt: float,
-          s_sub: int) -> CoupledState:
+          s_sub: int, sources=None) -> CoupledState:
     """Stage 2: interior circuit dynamics; velocities and pressures are
-    reused as-is (bitwise), only circuit states and the clock move."""
-    ys = [step2_integrate(spec, y, state.t, s_sub, dt / s_sub)
-          for spec, y in zip(system.circuits, state.ys)]
+    reused as-is (bitwise), only circuit states and the clock move.
+    `sources` is this step's slice of `stage2_sources`, one (s_sub, dim)
+    block per circuit, as `run` hands it over; without it the step
+    evaluates its own."""
+    if sources is None:
+        sources = [s[0] for s in stage2_sources(
+            system, step_times(state.t, dt, 1)[:-1], dt, s_sub)]
+    ys = [step2_integrate(spec, y, state.t, s_sub, dt / s_sub, src)
+          for spec, y, src in zip(system.circuits, state.ys, sources)]
     return CoupledState(state.velocities, state.pressures, ys,
                         state.interfaces, state.t + dt)
 
@@ -330,14 +398,21 @@ class StepRecord:
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
         n_steps: int, observers=(), explicit_pi: bool = False) -> CoupledState:
     """Apply step1 then step2 n_steps times, invoking observers after each
-    step."""
+    step.  The time-only inputs of up to BLOCK_STEPS steps are evaluated
+    at once, on the clock of the block's first state."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    for n in range(n_steps):
-        mid = step1(system, state, config.dt, explicit_pi)
-        new = step2(system, mid, config.dt, config.s_sub)
-        record = StepRecord(n, state, mid, new)
-        for obs in observers:
-            obs(record)
-        state = new
+    dt, s_sub = config.dt, config.s_sub
+    for first in range(0, n_steps, BLOCK_STEPS):
+        n_block = min(BLOCK_STEPS, n_steps - first)
+        times = step_times(state.t, dt, n_block)
+        loads = stage1_loads(system, times[1:])
+        sources = stage2_sources(system, times[:-1], dt, s_sub)
+        for k in range(n_block):
+            mid = step1(system, state, dt, explicit_pi, _loads_of_step(loads, k))
+            new = step2(system, mid, dt, s_sub, [s[k] for s in sources])
+            record = StepRecord(first + k, state, mid, new)
+            for obs in observers:
+                obs(record)
+            state = new
     return state

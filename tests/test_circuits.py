@@ -110,11 +110,17 @@ def test_positive_diagonal_U_random_states():
             assert np.all(spec.U(y, rng.uniform(0, 2)) > 0)
 
 
+def _substep_sources(spec, t, n_sub, dt2):
+    """s at the end times of n_sub substeps of size dt2 from t, as the
+    splitting hands them to stage 2."""
+    return spec.s(t + np.arange(1, n_sub + 1) * dt2)
+
+
 def test_step2_identity_when_quiescent():
     spec = CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
                        U=lambda y, t: np.ones(2),
                        s=lambda t: np.zeros(np.shape(t) + (2,)), connections=())
-    y = step2_integrate(spec, np.array([1.0, -2.0]), 0.0, 4, 0.5)
+    y = step2_integrate(spec, np.array([1.0, -2.0]), 0.0, 4, 0.5, np.zeros((4, 2)))
     assert np.array_equal(y, [1.0, -2.0])
 
 
@@ -122,7 +128,7 @@ def test_step2_scalar_implicit_euler():
     spec = CircuitSpec(1, A=lambda y, t: np.array([[-1.0]]),
                        U=lambda y, t: np.ones(1),
                        s=lambda t: np.zeros(np.shape(t) + (1,)), connections=())
-    y = step2_integrate(spec, np.array([1.0]), 0.0, 1, 0.1)
+    y = step2_integrate(spec, np.array([1.0]), 0.0, 1, 0.1, np.zeros((1, 1)))
     assert abs(y[0] - 1.0 / 1.1) <= 1e-15
 
 
@@ -134,7 +140,7 @@ def test_step2_energy_decay_unforced(dt2):
     e_prev = energy(spec, y, t)
     assert abs(2.0 * e_prev - 0.011) <= 1e-15
     for _ in range(6):
-        y, t = step2_integrate(spec, y, t, 1, dt2), t + dt2
+        y, t = step2_integrate(spec, y, t, 1, dt2, _substep_sources(spec, t, 1, dt2)), t + dt2
         e = energy(spec, y, t)
         assert e <= e_prev * (1.0 + 1e-14)
         e_prev = e
@@ -146,7 +152,7 @@ def test_step2_singular_system_detected():
                        s=lambda t: np.zeros(np.shape(t) + (1,)), connections=())
     # dt2 = 1/2 makes I - dt2 A exactly zero
     with pytest.raises(RuntimeError, match="singular"):
-        step2_integrate(spec, np.ones(1), 0.0, 1, 0.5)
+        step2_integrate(spec, np.ones(1), 0.0, 1, 0.5, np.zeros((1, 1)))
 
 
 def _forced_circuits():
@@ -184,7 +190,7 @@ def _step2_reference(spec, y, t, n_sub, dt2):
 def test_step2_matches_the_substep_loop_bitwise(name, n_sub, dt2):
     spec, y_exact = _forced_circuits()[name]
     y0 = y_exact(0.3)
-    y = step2_integrate(spec, y0, 0.3, n_sub, dt2)
+    y = step2_integrate(spec, y0, 0.3, n_sub, dt2, _substep_sources(spec, 0.3, n_sub, dt2))
     assert y.tobytes() == _step2_reference(spec, y0, 0.3, n_sub, dt2).tobytes()
     assert np.array_equal(y0, y_exact(0.3))     # the input is not touched
 
@@ -215,7 +221,7 @@ def test_step2_rejects_sources_of_the_wrong_shape():
                        U=lambda y, t: np.ones(2),
                        s=lambda t: np.zeros(2), connections=())
     with pytest.raises(ValueError, match="shape"):
-        step2_integrate(spec, np.ones(2), 0.0, 4, 0.1)
+        step2_integrate(spec, np.ones(2), 0.0, 4, 0.1, _substep_sources(spec, 0.0, 4, 0.1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -238,9 +244,9 @@ def test_resistance_laws_at_a_very_negative_pressure():
 def test_step2_input_validation():
     spec = example1_circuit(Example1Params(), nonlinear=False)
     with pytest.raises(ValueError):
-        step2_integrate(spec, np.zeros(2), 0.0, 1, -0.1)
+        step2_integrate(spec, np.zeros(2), 0.0, 1, -0.1, np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        step2_integrate(spec, np.zeros(2), 0.0, 0, 0.1)
+        step2_integrate(spec, np.zeros(2), 0.0, 0, 0.1, np.zeros((0, 2)))
 
 
 def test_connection_validation():

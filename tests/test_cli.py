@@ -214,3 +214,16 @@ def test_invalid_run_settings_rejected(tmp_path, capsys, argv, name):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and f" {name}=" in err
+
+
+@pytest.mark.parametrize("dt_list", ["0.1,nan", "1,-1", "0.1,1,inf"])
+def test_stability_checks_every_dt_before_any_run(monkeypatch, capsys, dt_list):
+    from stokes0d import cli
+    calls = []
+    monkeypatch.setattr(cli, "stability_run", lambda *a, **k: calls.append(a))
+    rc = main(["stability", "--nx", "8", "--ny", "2", "--steps", "5",
+               "--dt-list", dt_list])
+    captured = capsys.readouterr()
+    assert rc == 2 and calls == []
+    assert captured.err.startswith("error: dt must be positive and finite")
+    assert captured.out == ""

@@ -75,3 +75,39 @@ def test_invalid_inputs():
     bad["left"] = interface(1, 1, 1)  # duplicate id on two sides
     with pytest.raises(ValueError, match="duplicate"):
         build_rect_mesh(RectDomain(1.0, 1.0), 1, 1, bad)
+
+
+def _loop_topology(triangles):
+    """The edge numbering as a loop over triangles and their local edges:
+    ids in order of first appearance, looked up in a dict."""
+    edge_index, edge_list = {}, []
+    for tri in triangles.tolist():
+        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
+            key = (min(a, b), max(a, b))
+            if key not in edge_index:
+                edge_index[key] = len(edge_list)
+                edge_list.append(key)
+    tri_edges = [[edge_index[min(t[a], t[b]), max(t[a], t[b])]
+                  for a, b in ((1, 2), (2, 0), (0, 1))] for t in triangles.tolist()]
+    return np.array(edge_list), np.array(tri_edges), edge_index
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 5), (25, 5), (100, 20)])
+def test_topology_matches_the_loop(nx, ny):
+    m = build_rect_mesh(RectDomain(10.0, 2.0), nx, ny, channel_layout())
+    edges, tri_edges, edge_index = _loop_topology(m.triangles)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.triangle_edges(), tri_edges)
+    # boundary tags sit on the edges the loop numbered for each side
+    right = [edge_index[(j * (nx + 1) + nx, (j + 1) * (nx + 1) + nx)] for j in range(ny)]
+    assert m.edges_with_kind(TagKind.INTERFACE, (1, 1, 1)) == sorted(right)
+    assert len(m.edges_with_kind(TagKind.DIRICHLET_WALL)) == 2 * nx
+
+
+def test_edge_ids_either_order_and_unknown_pairs():
+    m = build_rect_mesh(RectDomain(1.0, 1.0), 2, 2, channel_layout())
+    pairs = m.edges[::-1]
+    assert np.array_equal(m.edge_ids(pairs), np.arange(m.n_edges)[::-1])
+    assert np.array_equal(m.edge_ids(pairs[:, ::-1]), np.arange(m.n_edges)[::-1])
+    with pytest.raises(KeyError):
+        m.edge_ids([[0, 8]])        # opposite corners

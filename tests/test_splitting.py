@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stokes0d import StepConfig, build_case, params_for, run, step1, step2
+from stokes0d import StepConfig, build_case, params_for, run, splitting, step1, step2
 from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.splitting import _dissection_keys
 
@@ -354,3 +354,74 @@ def test_run_never_mutates_a_state(example, nonlinear):
     assert len(seen) == 60
     for state, snapshot in seen:
         _assert_states_equal(state, snapshot)
+
+
+@pytest.mark.parametrize("block", [2048, 3])
+@pytest.mark.parametrize("s_sub", [1, 5, 10])
+@pytest.mark.parametrize("example, nonlinear", [(1, True), (2, False), (3, False)])
+def test_run_equals_chained_steps_bytewise(monkeypatch, example, nonlinear, s_sub, block):
+    # run evaluates the time-only inputs of a block of steps at once; each
+    # step alone evaluates its own: the two must agree to the last bit,
+    # also across block boundaries and from a clock that is not 0
+    monkeypatch.setattr(splitting, "BLOCK_STEPS", block)
+    case = coarse_case(example, nonlinear=nonlinear, nx=8, ny=2)
+    sys_, dt = case.system, 0.03
+    start = dataclasses.replace(case.initial_state(), t=0.37)
+    seen = []
+    got = run(sys_, start, StepConfig(dt, s_sub), 7,
+              observers=(lambda r: seen.append(r),))
+    state = start
+    for rec in seen:
+        mid = step1(sys_, state, dt)
+        _assert_states_equal(rec.intermediate, mid)
+        state = step2(sys_, mid, dt, s_sub)
+        _assert_states_equal(rec.state, state)
+    assert len(seen) == 7 and [r.step for r in seen] == list(range(7))
+    _assert_states_equal(got, state)
+
+
+def test_step_times_are_the_steps_clocks():
+    t, times = 0.37, splitting.step_times(0.37, 0.03, 5)
+    for k in range(6):
+        assert times[k] == t
+        t = t + 0.03
+
+
+@pytest.mark.parametrize("example, nonlinear",
+                         [(1, False), (1, True), (2, False), (3, False)])
+def test_time_only_inputs_broadcast_bitwise(example, nonlinear):
+    # load coefficients and external pressures take an array of times; each
+    # entry equals the scalar evaluation bitwise, and the shape is np.shape(t)
+    case = coarse_case(example, nonlinear=nonlinear, nx=4, ny=2)
+    times = np.linspace(-0.3, 2.9, 12).reshape(3, 4)
+    scalars = times.ravel().tolist()
+    for dom, dex in zip(case.system.domains, case.exact.domains):
+        pbars = [f for f in (dom.pbar, dex.pbar) if f is not None]
+        coefficient_fns = [c for c, _ in dex.force_terms] + dom.body_load.coeffs
+        for f in pbars + coefficient_fns:
+            values = np.asarray(f(times))
+            assert values.shape == times.shape
+            assert values.ravel().tobytes() == np.array(
+                [f(t) for t in scalars]).tobytes()
+        rows = dom.body_load.coefficients(times)
+        assert rows.shape == times.shape + (len(dom.body_load.coeffs),)
+        for row, t in zip(rows.reshape(-1, rows.shape[-1]), scalars):
+            assert row.tobytes() == dom.body_load.coefficients(t).tobytes()
+            assert dom.body_load.vector(row).tobytes() == dom.body_load(t).tobytes()
+    assert (example == 3) == all(dom.pbar is None for dom in case.system.domains)
+
+
+def test_time_only_inputs_of_the_wrong_shape_are_rejected():
+    case = coarse_case(1, nx=4, ny=2)
+    sys_ = case.system
+    ends = splitting.step_times(0.0, 0.1, 3)[1:]
+    dom, spec = sys_.domains[0], sys_.circuits[0]
+    with pytest.raises(ValueError, match="domain 1: pbar"):
+        splitting.stage1_loads(splitting.CoupledSystem(
+            [dataclasses.replace(dom, pbar=lambda t: 1.0)], [spec]), ends)
+    dom.body_load.coeffs.append(lambda t: 2.0)
+    with pytest.raises(ValueError, match="load coefficient 2"):
+        splitting.stage1_loads(sys_, ends)
+    flat = dataclasses.replace(spec, s=lambda t: np.zeros(spec.dim))
+    with pytest.raises(ValueError, match="circuit 1: s"):
+        splitting.stage2_sources(splitting.CoupledSystem([dom], [flat]), ends, 0.1, 4)
