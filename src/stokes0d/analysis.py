@@ -7,7 +7,9 @@ circuit dissipation y^T B y and the two forcing terms.  The stage-1 audit
 recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
 `step_energy_audit` gives the energy chain and that residual of one step
-from a single pass over the flow regions.
+from a single pass over the flow regions.  The kinetic energies read the
+mass products M v that `splitting.run` forms once per state and hands on in
+its step records.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import energy, eval_B
-from .fem import interpolate_pressure, interpolate_velocity
+from .fem import interpolate_pressure, interpolate_velocity, separable_sum
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,6 @@ class EnergyReport:
     @property
     def total(self) -> float:
         return self.e_omega + self.e_ups
-
-
-def _mass_products(system, velocities) -> list:
-    return [dom.ops.M @ v for dom, v in zip(system.domains, velocities)]
 
 
 def _kinetic_energy(system, velocities, mass_products) -> float:
@@ -55,9 +53,13 @@ def _stored_energy(system, state) -> float:
     return e
 
 
-def energy_report(system, state, dt_fd: float | None = None) -> EnergyReport:
-    e_om = _kinetic_energy(system, state.velocities,
-                           _mass_products(system, state.velocities))
+def energy_report(system, state, dt_fd: float | None = None,
+                  mass_products=None) -> EnergyReport:
+    """The energy terms of one state; `mass_products` are its velocities'
+    M v (`CoupledSystem.mass_products`), formed here when not given."""
+    if mass_products is None:
+        mass_products = system.mass_products(state.velocities)
+    e_om = _kinetic_energy(system, state.velocities, mass_products)
     d_om = f_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
         d_om += dom.mu * float(v @ (dom.ops.K @ v))
@@ -109,19 +111,19 @@ def step1_energy_residual(system, previous, intermediate, dt: float):
     inequality.  Returns (lhs, rhs, relative residual).
     """
     return _step1_balance(system, previous, intermediate, dt,
-                          _mass_products(system, intermediate.velocities))
+                          system.mass_products(intermediate.velocities))
 
 
 def step_energy_audit(system, record, dt: float):
     """(E^{n+1/2}, E^{n+1}, stage-1 identity residual) of one step record.
 
     The same as the totals of `energy_report` on the intermediate and the new
-    state and the residual of `step1_energy_residual`, with one M v* and one
-    K v* per flow region: stage 2 hands the velocities on unchanged, so both
-    energies share their kinetic part.
+    state and the residual of `step1_energy_residual`, with the record's
+    M v* and one K v* per flow region: stage 2 hands the velocities on
+    unchanged, so both energies share their kinetic part.
     """
     mid = record.intermediate
-    mvs = _mass_products(system, mid.velocities)
+    mvs = record.mass_products
     _, _, rel = _step1_balance(system, record.previous, mid, dt, mvs)
     e_flow = _kinetic_energy(system, mid.velocities, mvs)
     return (e_flow + _stored_energy(system, mid),
@@ -146,12 +148,15 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
     interpolants) and U^{1/2}-weighted Euclidean norms for the circuit
     states, U evaluated at the respective state.
     """
+    times = np.array([state.t for state in states])
+    fields = [(_interpolants(dex.velocity_terms, interpolate_velocity, dom, times),
+               _interpolants(dex.pressure_terms, interpolate_pressure, dom, times))
+              for dom, dex in zip(system.domains, exact.domains)]
     sum_v = sum_p = sum_y = 0.0
-    for state in states:
+    for n, state in enumerate(states):
         t = state.t
         for l, dom in enumerate(system.domains):
-            uex = interpolate_velocity(dom.space, dom.mesh, exact.domains[l].velocity, t)
-            pex = interpolate_pressure(dom.space, dom.mesh, exact.domains[l].pressure, t)
+            uex, pex = (at(n) for at in fields[l])
             du = state.velocities[l] - uex
             dp = state.pressures[l] - pex
             den_v = float(uex @ (dom.ops.M @ uex))
@@ -170,6 +175,16 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
                 raise ZeroDivisionError(f"exact state norm vanishes at t={t}")
             sum_y += float(dy @ dy) / den_y
     return ErrorReport(np.sqrt(dt * sum_v), np.sqrt(dt * sum_p), np.sqrt(dt * sum_y))
+
+
+def _interpolants(terms, interpolate, dom, times):
+    """n -> nodal interpolant of the exact field sum_j c_j(t) g_j at times[n]:
+    each profile g_j is interpolated once and each c_j evaluated once on all
+    the times, the same values as interpolating the field time by time."""
+    profiles = [interpolate(dom.space, dom.mesh, lambda x, t, g=g: g(x), None)
+                for _, g in terms]
+    coefficients = [c(times) for c, _ in terms]
+    return lambda n: separable_sum([c[n] for c in coefficients], profiles)
 
 
 def convergence_rate(errors) -> float:

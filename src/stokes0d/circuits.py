@@ -122,15 +122,30 @@ def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
 
 # nonlinear element laws of the first benchmark circuit
 
+def _may_overflow(x, p: Example1Params) -> bool:
+    """Whether exp(x) of a resistance law, or the law's (1 + alpha1 exp(x))^2,
+    can overflow: for a scalar x above 100 (exp(100) = 2.7e43) or an |alpha1|
+    of 1e100 or more, and for any array x, whose check would cost as much as
+    the guard itself."""
+    return isinstance(x, np.ndarray) or x > 100.0 or not abs(p.alpha1) < 1e100
+
+
 def resistance_a(pi: float, p: Example1Params) -> float:
+    x = -p.alpha2 * pi
+    if not _may_overflow(x, p):
+        return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(x))
     # exp overflows for a very negative pi; the law then reads its limit Rbar_a
     with np.errstate(over="ignore"):
-        return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(-p.alpha2 * pi))
+        return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(x))
 
 
 def resistance_a_prime(pi: float, p: Example1Params) -> float:
+    x = -p.alpha2 * pi
+    if not _may_overflow(x, p):
+        e = p.alpha1 * np.exp(x)
+        return p.alpha0 * p.alpha2 * e / (1.0 + e) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        e = p.alpha1 * np.exp(-p.alpha2 * pi)
+        e = p.alpha1 * np.exp(x)
         den = (1.0 + e) ** 2
         d = p.alpha0 * p.alpha2 * e / den
     # the derivative tends to 0 as e grows; past overflow it would read inf/inf

@@ -23,25 +23,35 @@ import numpy as np
 
 from .params import Example1Params, Example2Params, Example3Params
 from . import circuits as circ
-from .fem import interpolate_velocity, interpolate_pressure, assemble_body_force
+from .fem import (assemble_body_force, interpolate_pressure, interpolate_velocity,
+                  separable_sum)
 
 
 @dataclass(frozen=True)
 class DomainExact:
-    velocity: Callable          # (points, t) -> (N, 2)
-    pressure: Callable          # (points, t) -> (N,)
+    velocity_terms: tuple       # ((c(t), g(points) -> (N, 2)), ...)
+    pressure_terms: tuple       # ((c(t), g(points) -> (N,)), ...)
     dv_dt: Callable             # (points, t) -> (N, 2)
     force_terms: tuple          # ((c(t), g(points)), ...), force per unit mass
     pbar: Optional[Callable]    # t -> external pressure, None without a Neumann side
-    # c and pbar broadcast: on an array of times they return an array of its
-    # shape, each entry equal bitwise to the value at that time alone, so a
-    # run evaluates them once for a block of steps
+    # each field is sum_j c_j(t) g_j(points).  The c and pbar broadcast: on an
+    # array of times they return an array of its shape, each entry equal
+    # bitwise to the value at that time alone, so a run or an error norm
+    # evaluates them once for many times
+
+    @staticmethod
+    def _field(terms, points, t):
+        return separable_sum([c(t) for c, _ in terms],
+                             [np.asarray(g(points)) for _, g in terms])
+
+    def velocity(self, points, t):
+        return self._field(self.velocity_terms, points, t)
+
+    def pressure(self, points, t):
+        return self._field(self.pressure_terms, points, t)
 
     def force(self, points, t):
-        out = np.zeros((len(points), 2))
-        for c, g in self.force_terms:
-            out += c(t) * np.asarray(g(points))
-        return out
+        return self._field(self.force_terms, points, t)
 
 
 @dataclass(frozen=True)
@@ -81,22 +91,22 @@ def _profile_fields(p, a0, a1):
 
 
 def _channel_fields(p, s, ds, a0, a1):
+    """Velocity s(t) [V, 0], pressure s(t) Pr, their momentum source."""
     V, Vpp, Pr, dPr = _profile_fields(p, a0, a1)
-    velocity = lambda x, t: np.column_stack([s(t) * V(x[:, 1]), np.zeros(len(x))])
-    pressure = lambda x, t: s(t) * Pr(x[:, 0])
+    g1 = lambda x: np.column_stack([V(x[:, 1]), np.zeros(len(x))])
     dv_dt = lambda x, t: np.column_stack([ds(t) * V(x[:, 1]), np.zeros(len(x))])
     # f = [ds V - (mu/rho) s V'' + (s/rho) P', 0]; grouped as two separable terms
-    g1 = lambda x: np.column_stack([V(x[:, 1]), np.zeros(len(x))])
     g2 = lambda x: np.column_stack(
         [-(p.mu / p.rho) * Vpp(x[:, 1]) + dPr(x[:, 0]) / p.rho, np.zeros(len(x))])
-    force_terms = ((ds, g1), (s, g2))
-    return velocity, pressure, dv_dt, force_terms, Pr
+    fields = dict(velocity_terms=((s, g1),), pressure_terms=((s, lambda x: Pr(x[:, 0])),),
+                  dv_dt=dv_dt, force_terms=((ds, g1), (s, g2)))
+    return fields, Pr
 
 
 def example1_exact(p: Example1Params | None = None, nonlinear: bool = False) -> ExactSolutionSet:
     p = p if p is not None else Example1Params()
     s, ds, d2s, _ = _drive(p)
-    velocity, pressure, dv_dt, force_terms, Pr = _channel_fields(p, s, ds, p.a0, p.a1)
+    fields, Pr = _channel_fields(p, s, ds, p.a0, p.a1)
 
     qc = p.V0 * p.H / 2.0
     c_pi = Pr(p.L) - p.R11_1 * qc       # pi(t) = c_pi s(t)
@@ -148,8 +158,7 @@ def example1_exact(p: Example1Params | None = None, nonlinear: bool = False) -> 
         return (p.R_b * dw - (p.R_b / ra) * pi
                 + (p.R_b / ca) * (1.0 / ra + 1.0 / p.R_b) * w)
 
-    dom = DomainExact(velocity, pressure, dv_dt, force_terms,
-                      pbar=lambda t: s(t) * Pr(0.0))
+    dom = DomainExact(**fields, pbar=lambda t: s(t) * Pr(0.0))
     return ExactSolutionSet(
         params=p, tau=p.tau, domains=(dom,),
         y=lambda t: np.array([pi_t(t), w_t(t)]),
@@ -164,7 +173,7 @@ def example2_exact(p: Example2Params | None = None) -> ExactSolutionSet:
     s1, ds1, d2s1, d3s1 = _drive(p)
     qc = p.V0 * p.H / 2.0
 
-    vel1, pres1, dv1, force1, Pr1 = _channel_fields(p, s1, ds1, p.a01, p.a11)
+    fields1, Pr1 = _channel_fields(p, s1, ds1, p.a01, p.a11)
 
     c1 = Pr1(p.L) - p.R11_1 * qc
     pi1 = lambda t: c1 * s1(t)
@@ -184,7 +193,7 @@ def example2_exact(p: Example2Params | None = None) -> ExactSolutionSet:
     s2 = lambda t: pi2(t) / den2
     ds2 = lambda t: dpi2(t) / den2
 
-    vel2, pres2, dv2, force2, Pr2 = _channel_fields(p, s2, ds2, p.a02, p.a12)
+    fields2, Pr2 = _channel_fields(p, s2, ds2, p.a02, p.a12)
 
     Q2 = lambda t: -qc * s2(t)
     P2 = lambda t: s2(t) * Pr2(0.0)        # interface on the left side of domain 2
@@ -192,8 +201,8 @@ def example2_exact(p: Example2Params | None = None) -> ExactSolutionSet:
     def p_tilde(t):
         return -p.R_b * w(t) + pi2(t) - p.R_b * Q2(t) + p.R_b * p.C21_1 * dpi2(t)
 
-    dom1 = DomainExact(vel1, pres1, dv1, force1, pbar=lambda t: s1(t) * Pr1(0.0))
-    dom2 = DomainExact(vel2, pres2, dv2, force2, pbar=lambda t: s2(t) * Pr2(p.L))
+    dom1 = DomainExact(**fields1, pbar=lambda t: s1(t) * Pr1(0.0))
+    dom2 = DomainExact(**fields2, pbar=lambda t: s2(t) * Pr2(p.L))
     return ExactSolutionSet(
         params=p, tau=p.tau, domains=(dom1, dom2),
         y=lambda t: np.array([pi1(t), pi2(t), w(t)]),
@@ -209,7 +218,7 @@ def example2_exact(p: Example2Params | None = None) -> ExactSolutionSet:
 def example3_exact(p: Example3Params | None = None) -> ExactSolutionSet:
     p = p if p is not None else Example3Params()
     s, ds, _, _ = _drive(p)
-    velocity, pressure, dv_dt, force_terms, Pr = _channel_fields(p, s, ds, p.a0, p.a1)
+    fields, Pr = _channel_fields(p, s, ds, p.a0, p.a1)
     qc = p.V0 * p.H / 2.0
 
     pi1 = lambda t: s(t) * (Pr(p.L) - p.R11_1 * qc)
@@ -235,7 +244,7 @@ def example3_exact(p: Example3Params | None = None) -> ExactSolutionSet:
     def p_tilde_b(t):
         return p.R_b * p.C11_2 * dpi2(t) + pi2(t) - (w(t) + Q2(t)) * p.R_b
 
-    dom = DomainExact(velocity, pressure, dv_dt, force_terms, pbar=None)
+    dom = DomainExact(**fields, pbar=None)
     return ExactSolutionSet(
         params=p, tau=p.tau, domains=(dom,),
         y=lambda t: np.array([pi1(t), pi2(t), w(t)]),

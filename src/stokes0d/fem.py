@@ -246,6 +246,17 @@ def assemble_body_force(space: StokesSpace, mesh: TriangleMesh, f, t: float,
     return out
 
 
+def separable_sum(coefficients, profiles):
+    """sum_j coefficients[j] * profiles[j], summed in order: the one way a
+    time-separable field is evaluated, so its values agree bitwise wherever
+    the same coefficients and profile values come from."""
+    (c, g), *rest = zip(coefficients, profiles)
+    out = c * g
+    for c, g in rest:
+        out = out + c * g
+    return out
+
+
 class TimeSeparableLoad:
     """Load vector of the form sum_j c_j(t) * F_j with the F_j preassembled.
 
@@ -277,10 +288,7 @@ class TimeSeparableLoad:
 
     def vector(self, coefficients) -> np.ndarray:
         """The load sum_j coefficients[j] F_j of one time's coefficients."""
-        out = np.zeros_like(self.vectors[0])
-        for c, vec in zip(coefficients, self.vectors):
-            out += c * vec
-        return out
+        return separable_sum(coefficients, self.vectors)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.vector(self.coefficients(t))

@@ -38,26 +38,26 @@ def periods_per_tau(tau: float, dt: float) -> int:
 class _PeriodTracker:
     """Streams states and accumulates the per-period gap terms.
 
-    Keeps the latest N_tau + 1 states; when state i arrives, its
-    counterpart one period earlier is the head of the buffer, and the pair
-    contributes to every period vector containing index i (period
-    boundaries belong to both neighbours).
+    Keeps the latest N_tau + 1 states, each with its velocities' squared
+    norms v.(M v); when state i arrives, its counterpart one period earlier
+    is the head of the buffer, and the pair contributes to every period
+    vector containing index i (period boundaries belong to both neighbours).
     """
 
     def __init__(self, system, n_per: int):
         self.system = system
         self.n_per = n_per
         self.buffer = deque(maxlen=n_per + 1)
+        self.velocity_sq_norms = deque(maxlen=n_per + 1)
         self.count = 0
         self.acc = {}
         self.gaps = {}
 
-    def _groups(self, state, prev):
+    def _groups(self, state, prev, prev_velocity_sq_norms):
         sys_ = self.system
         for l, dom in enumerate(sys_.domains):
             d = state.velocities[l] - prev.velocities[l]
-            yield float(d @ (dom.ops.M @ d)), float(
-                prev.velocities[l] @ (dom.ops.M @ prev.velocities[l]))
+            yield float(d @ (dom.ops.M @ d)), prev_velocity_sq_norms[l]
             d = state.pressures[l] - prev.pressures[l]
             yield float(d @ (dom.ops.Mp @ d)), float(
                 prev.pressures[l] @ (dom.ops.Mp @ prev.pressures[l]))
@@ -65,14 +65,19 @@ class _PeriodTracker:
             d = state.ys[m] - prev.ys[m]
             yield float(d @ d), float(prev.ys[m] @ prev.ys[m])
 
-    def push(self, state) -> None:
+    def push(self, state, mass_products=None) -> None:
+        """Take the next state; `mass_products` are its velocities' M v,
+        formed here when not given."""
+        if mass_products is None:
+            mass_products = self.system.mass_products(state.velocities)
         self.buffer.append(state)
+        self.velocity_sq_norms.append([float(v @ mv) for v, mv
+                                       in zip(state.velocities, mass_products)])
         i = self.count
         self.count += 1
         if i < self.n_per:
             return
-        prev = self.buffer[0]
-        pairs = list(self._groups(state, prev))
+        pairs = list(self._groups(state, self.buffer[0], self.velocity_sq_norms[0]))
         periods = [i // self.n_per, i // self.n_per + 1] if i % self.n_per == 0 \
             else [i // self.n_per + 1]
         for p in periods:
@@ -136,9 +141,9 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
 
     series: list = []
 
-    def record_series(state):
+    def record_series(state, mass_products=None):
         series.append(SeriesRow(state.t, state.interfaces, state.ys,
-                                energy_report(system, state, dt_fd)))
+                                energy_report(system, state, dt_fd, mass_products)))
 
     if collect_series:
         record_series(state)
@@ -149,9 +154,9 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     tracker.push(state)
 
     def on_step(record):
-        tracker.push(record.state)
+        tracker.push(record.state, record.mass_products)
         if collect_series:
-            record_series(record.state)
+            record_series(record.state, record.mass_products)
         for obs in extra_observers:
             obs(record)
 

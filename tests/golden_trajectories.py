@@ -13,16 +13,19 @@ within the tolerances of `TOLERANCES` instead.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import platform as _platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from stokes0d import build_case
+from stokes0d import build_case, cli
 from stokes0d.harness import run_to_periodicity, stability_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,6 +34,9 @@ PERIODIC_DT = 0.05
 PERIODIC_CASES = ((1, False), (1, True), (2, False), (3, False))
 STABILITY_DTS = (0.01, 1.0, 100.0)
 STABILITY_STEPS = 20
+FORCED_CASES = ((1, True), (2, False), (3, False))
+FORCED_DTS = (0.01, 1.0)
+CLI_PERIODS = 3
 
 # Off the recorded platform: (rtol, atol) per field.  The errors and the
 # stored energy match the benchmark gate's 1e-6; the energy differences get
@@ -44,6 +50,8 @@ TOLERANCES = {
     "max_increase": (1e-6, 1e-12),      # atol in units of e0
     "chain_violation": (1e-6, 1e-12),   # atol in units of e0
     "max_identity_residual": (1e-6, 1e-12),
+    # every number in a CLI summary.txt: energies, gaps, errors and settings
+    "summary": (1e-6, 1e-9),
 }
 
 
@@ -104,6 +112,11 @@ def periodic_records() -> list:
     return out
 
 
+def _report_fields(rep) -> dict:
+    return {k: _hex(getattr(rep, k)) for k in
+            ("e0", "max_increase", "chain_violation", "max_identity_residual")}
+
+
 def stability_records() -> list:
     case = build_case(1, nx=NX, ny=NY, zero_forcing=True)
     out = []
@@ -111,13 +124,60 @@ def stability_records() -> list:
         for explicit_pi in (False, True):
             rep = stability_run(case, dt, STABILITY_STEPS, explicit_pi=explicit_pi)
             out.append({"dt": dt, "explicit_pi": explicit_pi, "n_steps": rep.n_steps,
-                        **{k: _hex(getattr(rep, k)) for k in
-                           ("e0", "max_increase", "chain_violation",
-                            "max_identity_residual")}})
+                        **_report_fields(rep)})
     return out
 
 
-RECORDS = {"periodic": periodic_records, "stability": stability_records}
+def forced_stability_records() -> list:
+    """The stability audit of the forced benchmarks, where every input that
+    depends on time enters the energy chain."""
+    out = []
+    for example, nonlinear in FORCED_CASES:
+        case = build_case(example, nonlinear=nonlinear, nx=NX, ny=NY)
+        for dt in FORCED_DTS:
+            rep = stability_run(case, dt, STABILITY_STEPS)
+            out.append({"example": example, "nonlinear": nonlinear, "dt": dt,
+                        "explicit_pi": False, "n_steps": rep.n_steps,
+                        **_report_fields(rep)})
+    return out
+
+
+def _summary_numbers(text: str) -> dict:
+    """Every `key = number` line of a summary.txt, as float.hex."""
+    out = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        try:
+            out[key] = _hex(float(value))
+        except ValueError:
+            pass
+    return out
+
+
+def cli_records() -> list:
+    """sha256 of the files of `stokes0d simulate` runs of CLI_PERIODS periods,
+    with the line counts and the summary's numbers for other platforms."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for example, nonlinear in FORCED_CASES:
+            args = ["simulate", "--example", str(example), "--nx", str(NX),
+                    "--ny", str(NY), "--dt", str(PERIODIC_DT),
+                    "--max-periods", str(CLI_PERIODS)] + (["--nonlinear"] if nonlinear else [])
+            folder = Path(tmp) / f"example{example}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(args + ["--out", str(folder)])
+            files = {}
+            for name in ("series.csv", "summary.txt"):
+                data = (folder / name).read_bytes()
+                files[name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                               "lines": data.count(b"\n")}
+            out.append({"args": args, "exit_code": code, "files": files,
+                        "summary": _summary_numbers((folder / "summary.txt").read_text())})
+    return out
+
+
+RECORDS = {"periodic": periodic_records, "stability": stability_records,
+           "forced_stability": forced_stability_records, "cli": cli_records}
 
 
 def main(argv) -> int:

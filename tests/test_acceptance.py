@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with pytest -s / -rA).  The
 convergence sweeps run the three benchmarks on the 4000-element mesh at
-dt = 0.01, 0.005, 0.001 and take a few minutes; everything else is fast.
+dt = 0.01, 0.005, 0.001 and take a few minutes; the two criteria that need
+them are marked `slow`, everything else is fast.
 """
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ def stability_results():
     return [stability_run(case, dt, 200, s_sub=5) for dt in (0.1, 1.0, 10.0)]
 
 
+@pytest.mark.slow
 def test_criterion_1_first_order_convergence(convergence_results):
     ok = True
     details = []
@@ -104,6 +106,7 @@ def test_criterion_4_oracle_self_consistency():
     _verdict(4, "oracle self-consistency", ok, " ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_5_flow_peaks_attenuated(convergence_results):
     _, peaks = convergence_results[1]
     q_coarse, p_coarse = peaks[0.01]["Q"], peaks[0.01]["P"]

@@ -145,10 +145,11 @@ def test_error_norms_zero_for_exact_trajectory():
 
 
 def _scaled_exact(exact, c):
-    import dataclasses
-    doms = tuple(dataclasses.replace(
-        d, velocity=lambda x, t, d=d: c * d.velocity(x, t),
-        pressure=lambda x, t, d=d: c * d.pressure(x, t)) for d in exact.domains)
+    def scaled(terms):
+        return tuple((lambda t, a=a: c * a(t), g) for a, g in terms)
+    doms = tuple(dataclasses.replace(d, velocity_terms=scaled(d.velocity_terms),
+                                     pressure_terms=scaled(d.pressure_terms))
+                 for d in exact.domains)
     return dataclasses.replace(exact, domains=doms)
 
 
