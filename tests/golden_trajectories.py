@@ -34,6 +34,7 @@ PERIODIC_DT = 0.05
 PERIODIC_CASES = ((1, False), (1, True), (2, False), (3, False))
 STABILITY_DTS = (0.01, 1.0, 100.0)
 STABILITY_STEPS = 20
+UNFORCED_EXAMPLES = (2, 3)
 FORCED_CASES = ((1, True), (2, False), (3, False))
 FORCED_DTS = (0.01, 1.0)
 CLI_PERIODS = 3
@@ -117,15 +118,29 @@ def _report_fields(rep) -> dict:
             ("e0", "max_increase", "chain_violation", "max_identity_residual")}
 
 
+def _unforced_stability(example) -> list:
+    """(dt, explicit_pi, StabilityReport) of the unforced benchmark at every
+    dt of STABILITY_DTS, implicit and with explicit_pi."""
+    case = build_case(example, nx=NX, ny=NY, zero_forcing=True)
+    return [(dt, explicit_pi,
+             stability_run(case, dt, STABILITY_STEPS, explicit_pi=explicit_pi))
+            for dt in STABILITY_DTS for explicit_pi in (False, True)]
+
+
 def stability_records() -> list:
-    case = build_case(1, nx=NX, ny=NY, zero_forcing=True)
-    out = []
-    for dt in STABILITY_DTS:
-        for explicit_pi in (False, True):
-            rep = stability_run(case, dt, STABILITY_STEPS, explicit_pi=explicit_pi)
-            out.append({"dt": dt, "explicit_pi": explicit_pi, "n_steps": rep.n_steps,
-                        **_report_fields(rep)})
-    return out
+    return [{"dt": dt, "explicit_pi": explicit_pi, "n_steps": rep.n_steps,
+             **_report_fields(rep)}
+            for dt, explicit_pi, rep in _unforced_stability(1)]
+
+
+def unforced_stability_records() -> list:
+    """Unforced benchmarks 2 and 3: two flow domains or two connections, so
+    the stage-1 coupling and the explicit_pi right-hand side are exercised
+    on more than one interface."""
+    return [{"example": example, "dt": dt, "explicit_pi": explicit_pi,
+             "n_steps": rep.n_steps, **_report_fields(rep)}
+            for example in UNFORCED_EXAMPLES
+            for dt, explicit_pi, rep in _unforced_stability(example)]
 
 
 def forced_stability_records() -> list:
@@ -177,6 +192,7 @@ def cli_records() -> list:
 
 
 RECORDS = {"periodic": periodic_records, "stability": stability_records,
+           "unforced_stability": unforced_stability_records,
            "forced_stability": forced_stability_records, "cli": cli_records}
 
 

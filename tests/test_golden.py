@@ -56,6 +56,7 @@ def _check_cli(got, want):
 
 
 CHECKS = {"periodic": _check_periodic, "stability": _check_stability,
+          "unforced_stability": _check_stability,
           "forced_stability": _check_stability, "cli": _check_cli}
 
 
