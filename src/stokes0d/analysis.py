@@ -2,8 +2,8 @@
 
 The energy functionals mirror the balance law of the coupled problem:
 kinetic energy of the flow regions, stored circuit energy (1/2)||U^{1/2}y||^2,
-viscous dissipation, the resistive interface dissipation sum of R Q^2, the
-circuit dissipation y^T B y and the two forcing terms.  The stage-1 audit
+viscous dissipation, the resistive interface dissipation sum of R Q^2 and
+the circuit dissipation y^T B y.  The stage-1 audit
 recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
 `step_energy_audit` gives the energy chain and that residual of one step
@@ -29,8 +29,6 @@ class EnergyReport:
     d_omega: float     # viscous dissipation rate
     d_rc: float        # resistive interface dissipation rate
     u_ups: float       # circuit element dissipation rate y^T B y
-    f_omega: float     # body-force / external-pressure power input
-    f_ups: float       # generator power input
 
     @property
     def total(self) -> float:
@@ -53,29 +51,21 @@ def _stored_energy(system, state) -> float:
     return e
 
 
-def energy_report(system, state, dt_fd: float | None = None,
-                  mass_products=None) -> EnergyReport:
+def energy_report(system, state, mass_products,
+                  dt_fd: float | None = None) -> EnergyReport:
     """The energy terms of one state; `mass_products` are its velocities'
-    M v (`CoupledSystem.mass_products`), formed here when not given."""
-    if mass_products is None:
-        mass_products = system.mass_products(state.velocities)
+    M v (`CoupledSystem.mass_products`)."""
     e_om = _kinetic_energy(system, state.velocities, mass_products)
-    d_om = f_om = 0.0
+    d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
         d_om += dom.mu * float(v @ (dom.ops.K @ v))
-        if dom.body_load is not None:
-            f_om += float(dom.body_load(state.t) @ v)
-        if dom.pbar is not None:
-            f_om -= float(dom.pbar(state.t)) * float(dom.ops.sigma @ v)
     e_up = _stored_energy(system, state)
-    u_up = f_up = 0.0
+    u_up = 0.0
     for spec, y in zip(system.circuits, state.ys):
-        U = spec.U(y, state.t)
         u_up += float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
-        f_up += float(spec.s(state.t) @ (U * y))
     d_rc = sum(c.resistance * state.interfaces[c.interface_id].Q ** 2
                for _, _, c in system.connections)
-    return EnergyReport(e_om, e_up, d_om, d_rc, u_up, f_om, f_up)
+    return EnergyReport(e_om, e_up, d_om, d_rc, u_up)
 
 
 def _step1_balance(system, previous, intermediate, dt: float, mass_products):

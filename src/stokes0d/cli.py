@@ -164,9 +164,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_convergence(cfg: RunConfig) -> int:
     dts = cfg.dt_list if cfg.dt_list else (cfg.dt,)
-    if len(set(dts)) != len(dts):
-        print(f"duplicate dt values rejected: {list(dts)}", file=sys.stderr)
-        return 2
     peaks = {}
 
     def on_result(dt, res):
@@ -204,6 +201,8 @@ def cmd_stability(cfg: RunConfig, explicit_pi: bool = False) -> int:
     dts = cfg.dt_list if cfg.dt_list else STABILITY_DTS
     for dt in dts:      # every dt before any run, not one sweep at a time
         check_positive("dt", dt)
+    if cfg.steps < 1:
+        raise ValueError(f"steps must be >= 1, got steps={cfg.steps}")
     s_sub = cfg.substeps()
     case = build_case(cfg.example, nonlinear=False, nx=cfg.nx, ny=cfg.ny,
                       params=cfg.parameters(), zero_forcing=True)

@@ -48,7 +48,6 @@ class _PeriodTracker:
         self.system = system
         self.n_per = n_per
         self.buffer = deque(maxlen=n_per + 1)
-        self.velocity_sq_norms = deque(maxlen=n_per + 1)
         self.count = 0
         self.acc = {}
         self.gaps = {}
@@ -65,19 +64,15 @@ class _PeriodTracker:
             d = state.ys[m] - prev.ys[m]
             yield float(d @ d), float(prev.ys[m] @ prev.ys[m])
 
-    def push(self, state, mass_products=None) -> None:
-        """Take the next state; `mass_products` are its velocities' M v,
-        formed here when not given."""
-        if mass_products is None:
-            mass_products = self.system.mass_products(state.velocities)
-        self.buffer.append(state)
-        self.velocity_sq_norms.append([float(v @ mv) for v, mv
-                                       in zip(state.velocities, mass_products)])
+    def push(self, state, mass_products) -> None:
+        """Take the next state; `mass_products` are its velocities' M v."""
+        self.buffer.append((state, [float(v @ mv) for v, mv
+                                    in zip(state.velocities, mass_products)]))
         i = self.count
         self.count += 1
         if i < self.n_per:
             return
-        pairs = list(self._groups(state, self.buffer[0], self.velocity_sq_norms[0]))
+        pairs = list(self._groups(state, *self.buffer[0]))
         periods = [i // self.n_per, i // self.n_per + 1] if i % self.n_per == 0 \
             else [i // self.n_per + 1]
         for p in periods:
@@ -141,17 +136,18 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
 
     series: list = []
 
-    def record_series(state, mass_products=None):
+    def record_series(state, mass_products):
         series.append(SeriesRow(state.t, state.interfaces, state.ys,
-                                energy_report(system, state, dt_fd, mass_products)))
+                                energy_report(system, state, mass_products, dt_fd)))
 
+    mass_products = system.mass_products(state.velocities)
     if collect_series:
-        record_series(state)
+        record_series(state, mass_products)
     if max_periods == 0:
         return SimulateResult(case, dt, s_sub, n_tau, False, 0, {}, series, None, state)
 
     tracker = _PeriodTracker(system, n_tau)
-    tracker.push(state)
+    tracker.push(state, mass_products)
 
     def on_step(record):
         tracker.push(record.state, record.mass_products)
@@ -170,7 +166,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
             converged = True
             break
 
-    last_period = list(tracker.buffer) if periods >= 1 else None
+    last_period = [s for s, _ in tracker.buffer] if periods >= 1 else None
     errors = None
     if converged:
         errors = dataclasses.replace(error_norms(system, last_period, case.exact, dt),
@@ -201,7 +197,7 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
     config = StepConfig(dt, s_sub)
     state = case.initial_state()
 
-    e_prev = energy_report(system, state).total
+    e_prev = energy_report(system, state, system.mass_products(state.velocities)).total
     e0 = e_prev
     max_inc = -np.inf
     chain_viol = -np.inf
@@ -236,7 +232,8 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6,
                       collect_series: bool = False, on_result=None) -> ConvergenceResult:
     """Run simulate-to-periodicity for each dt and fit log-log slopes.
 
-    `case_builder()` must return a fresh Case (runs are independent);
+    `case_builder()` must return a fresh Case (runs are independent); the
+    first is built up front to check every dt against its period.
     `on_result(dt, SimulateResult)` is called after each run when given.
     """
     dts = [float(dt) for dt in dt_list]
@@ -247,9 +244,13 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6,
     if max_periods < 1:
         raise ValueError(f"max_periods must be >= 1, got max_periods={max_periods}")
     check_positive("eps_per", eps_per)
+    case = case_builder()
+    for dt in dts:
+        periods_per_tau(case.tau, dt)
     rows = []
-    for dt in sorted(dts, reverse=True):
-        case = case_builder()
+    for k, dt in enumerate(sorted(dts, reverse=True)):
+        if k:
+            case = case_builder()
         res = run_to_periodicity(case, dt, s_sub=s_sub, eps_per=eps_per,
                                  max_periods=max_periods,
                                  collect_series=collect_series)
@@ -259,13 +260,11 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6,
         rows.append((dt, res.errors, res.periods, res.converged))
         if on_result is not None:
             on_result(dt, res)
-    slopes = {}
+    result = ConvergenceResult(rows, {})
     if len(rows) >= 2:
-        for which in ("v", "p", "y"):
-            key = {"v": "err_v", "p": "err_p", "y": "err_y"}[which]
-            slopes[which] = convergence_rate(
-                [(dt, getattr(err, key)) for dt, err, _, _ in rows])
-    return ConvergenceResult(rows, slopes)
+        result.slopes.update({which: convergence_rate(result.errors(which))
+                              for which in ("v", "p", "y")})
+    return result
 
 
 def peak_errors(result: SimulateResult, interface_id) -> dict:

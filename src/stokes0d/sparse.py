@@ -1,7 +1,8 @@
 """Direct sparse LU solver for scipy sparse matrices, backed by SuperLU.
 
 The time-stepping matrix is constant over a run, so the intended usage is
-factor once, back-substitute every step.
+factor once, back-substitute every step.  The matrix is eliminated in its
+own numbering: a fill-reducing order is the caller's to number it in.
 """
 from __future__ import annotations
 
@@ -38,16 +39,13 @@ def _locate_zero_pivot(a: sp.csr_matrix) -> int | None:
 class LUFactorization:
     """Immutable LU factors; concurrent solves are safe.
 
-    The factors are those of the transpose of A[perm][:, perm] (of A itself
-    when `perm` is None), and `solve` runs SuperLU's transposed
-    substitutions on them, permuting the right-hand side in and the solution
-    back out.
+    The factors are those of the transpose of A, and `solve` runs SuperLU's
+    transposed substitutions on them.
     """
 
-    def __init__(self, splu_obj, n: int, perm: np.ndarray | None = None):
+    def __init__(self, splu_obj, n: int):
         self._lu = splu_obj
         self.n = n
-        self.perm = perm
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -56,16 +54,8 @@ class LUFactorization:
         top = np.abs(rhs).max()
         if 0.0 < top < TINY_RHS:
             k = int(np.frexp(top)[1])
-            return np.ldexp(_permuted_solve(self._lu, self.perm, np.ldexp(rhs, -k)), k)
-        return _permuted_solve(self._lu, self.perm, rhs)
-
-
-def _permuted_solve(lu, perm, rhs: np.ndarray) -> np.ndarray:
-    if perm is None:
-        return lu.solve(rhs, trans="T")
-    x = np.empty_like(rhs)
-    x[perm] = lu.solve(rhs[perm], trans="T")
-    return x
+            return np.ldexp(self._lu.solve(np.ldexp(rhs, -k), trans="T"), k)
+        return self._lu.solve(rhs, trans="T")
 
 
 def _backward_error(a, x: np.ndarray, b: np.ndarray) -> float:
@@ -78,7 +68,7 @@ def _backward_error(a, x: np.ndarray, b: np.ndarray) -> float:
 # Above this backward error on the check solve, the diagonal-pivot factors are
 # dropped for a partial-pivoting factorization.  On the stage-1 systems of the
 # three benchmarks in nested-dissection order (20x4 to 200x40, dt 1e-3 to 10)
-# the check reads at most 4.0e-15.  With density and viscosity scaled by 1e-3
+# the check reads at most 4.3e-15.  With density and viscosity scaled by 1e-3
 # to 1e3 and dt from 1e-4 to 1e3 (20x4) it reads up to 8e-13, and wherever the
 # stage-1 energy identity of the diagonal-pivot solution was off by more than
 # 1e-9 (up to 2e-7) it read at least 7e-14: large pressures weight the
@@ -95,9 +85,9 @@ BACKWARD_ERROR_TOL = 2e-14
 TINY_RHS = 2.0 ** -500
 
 
-def _factorize_in_order(a: sp.csr_matrix, order: np.ndarray) -> LUFactorization | None:
-    """LU of the transpose of A[order][:, order] with the pivots taken on the
-    diagonal, in the given order, whenever they are nonzero.
+def _factorize_on_diagonal(a: sp.csr_matrix) -> LUFactorization | None:
+    """LU of the transpose of A with the pivots taken on the diagonal, in
+    A's own numbering, whenever they are nonzero.
 
     That suits matrices with a symmetric pattern such as the stage-1
     saddle-point system but can be unstable on others, so one solve with a
@@ -108,30 +98,28 @@ def _factorize_in_order(a: sp.csr_matrix, order: np.ndarray) -> LUFactorization 
     if n == 0:
         return None
     try:
-        lu = spla.splu(a[order][:, order].T, permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(a.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError:
         return None
     b = a @ np.random.default_rng(0).standard_normal(n)
-    if _backward_error(a, _permuted_solve(lu, order, b), b) <= BACKWARD_ERROR_TOL:
-        return LUFactorization(lu, n, order)
+    if _backward_error(a, lu.solve(b, trans="T"), b) <= BACKWARD_ERROR_TOL:
+        return LUFactorization(lu, n)
     return None
 
 
-def factorize(a, order=None) -> LUFactorization:
+def factorize(a) -> LUFactorization:
     """Sparse LU of a square matrix, factor once and solve many times.
 
-    `order` is the elimination order of the unknowns (default: as given); a
-    fill-reducing one is the caller's to supply.  Diagonal pivots in that
-    order are tried first, and COLAMD with partial pivoting (scipy's default)
-    is the fallback when they fail their check.  Pivot indices in
-    SingularMatrixError refer to `a` as given.
+    Diagonal pivots in the matrix's own numbering are tried first, and
+    COLAMD with partial pivoting (scipy's default) is the fallback when they
+    fail their check.  Pivot indices in SingularMatrixError refer to `a`.
     """
     a = sp.csr_matrix(a)
     nr, nc = a.shape
     if nr != nc:
         raise ValueError(f"matrix must be square, got {nr}x{nc}")
-    f = _factorize_in_order(a, np.arange(nr) if order is None else np.asarray(order))
+    f = _factorize_on_diagonal(a)
     if f is not None:
         return f
     try:

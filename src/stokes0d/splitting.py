@@ -24,11 +24,12 @@ whole time grid, and hands every step its slice.
 
 The stage-1 matrix does not depend on time, so it is factorized once per
 (dt, variant) and reused for every step of a run.  Its unknowns are
-eliminated in nested-dissection order of each domain's quadratic node grid,
-computed once per system and shared by every dt.
+numbered in their elimination order, nested dissection of each domain's
+quadratic node grid, once per system for every dt and variant.
 
-A run forms the mass product M v of each new state once per domain and hands
-it on in the step record: the next step's stage-1 right-hand side and the
+`run` is the only producer of a step's inputs.  It also forms the mass
+product M v of its start state and of each new state once per domain and
+hands it on in the step record: the next stage-1 right-hand side and the
 observers' kinetic energies and norms all read it.
 """
 from __future__ import annotations
@@ -125,21 +126,25 @@ class CoupledSystem:
                              f"match tagged mesh interfaces {sorted(mesh_ids)}")
 
     @cached_property
-    def step1_order(self) -> np.ndarray:
-        """Elimination order of the stage-1 unknowns (in the layout of
-        `_Step1Solver`): each domain by nested dissection of its node grid,
+    def step1_layout(self) -> "Step1Layout":
+        """Positions of the stage-1 unknowns, numbered in their elimination
+        order: each domain in turn by nested dissection of its node grid,
         a group's velocities before its pressures, the (Q, pi) pairs last."""
-        parts, off = [], 0
+        velocity, pressure, off = [], [], 0
         for dom in self.domains:
             space = dom.space
+            nf = len(space.free)
             node = np.concatenate([space.free % space.n_scalar,
                                    np.arange(space.n_pressure)])
-            kind = np.repeat([0, 1], [len(space.free), space.n_pressure])
+            kind = np.repeat([0, 1], [nf, space.n_pressure])
             group = _dissection_keys(space.node_grid())[node]
-            parts.append(off + np.lexsort((node, kind, group)))
+            position = np.empty(len(node), dtype=np.intp)
+            position[np.lexsort((node, kind, group))] = off + np.arange(len(node))
+            velocity.append(position[:nf])
+            pressure.append(position[nf:])
             off += len(node)
-        parts.append(np.arange(off, off + 2 * len(self.connections)))
-        return np.concatenate(parts)
+        q = off + 2 * np.arange(len(self.connections))
+        return Step1Layout(velocity, pressure, q, q + 1, off + 2 * len(self.connections))
 
     def zero_state(self) -> CoupledState:
         vels = [np.zeros(d.space.n_velocity) for d in self.domains]
@@ -158,6 +163,16 @@ class CoupledSystem:
         if key not in self._step1_cache:
             self._step1_cache[key] = _Step1Solver(self, dt, explicit_pi)
         return self._step1_cache[key]
+
+
+@dataclass(frozen=True)
+class Step1Layout:
+    """Where each stage-1 unknown sits in the matrix and right-hand side."""
+    velocity: list      # per domain, the position of each free velocity dof
+    pressure: list      # per domain, the position of each pressure dof
+    q: np.ndarray       # per connection, the position of Q_k
+    pi: np.ndarray      # per connection, the position of pi_k
+    n: int
 
 
 def _dissection_keys(grid: np.ndarray) -> np.ndarray:
@@ -192,10 +207,8 @@ def _dissection_keys(grid: np.ndarray) -> np.ndarray:
 
 
 class _Step1Solver:
-    """Assembled and factorized stage-1 system for one time step size.
-
-    Unknown layout: per domain the free velocity dofs then the pressures,
-    then per connection the pair (Q_k, pi_k).  `explicit_pi` is a test-only
+    """Assembled and factorized stage-1 system for one time step size, in
+    the numbering of `CoupledSystem.step1_layout`.  `explicit_pi` is a test-only
     variant that moves the pi coupling in the momentum equation to the
     right-hand side (lagged at the previous step), which breaks the
     discrete energy balance and with it unconditional stability.
@@ -205,50 +218,36 @@ class _Step1Solver:
         self.system = system
         self.dt = dt
         self.explicit_pi = explicit_pi
-
-        self.v_off, self.p_off = [], []
-        off = 0
-        for dom in system.domains:
-            nf, npr = len(dom.space.free), dom.space.n_pressure
-            self.v_off.append(off)
-            self.p_off.append(off + nf)
-            off += nf + npr
-        self.q_off = []
-        self.pi_off = []
-        for _ in system.connections:
-            self.q_off.append(off)
-            self.pi_off.append(off + 1)
-            off += 2
-        self.n = off
+        self.layout = layout = system.step1_layout
+        self.n = layout.n
 
         blocks = []   # (rows, cols, values) of each block
         for d, dom in enumerate(system.domains):
             free = dom.space.free
-            vo, po = self.v_off[d], self.p_off[d]
+            vel, prs = layout.velocity[d], layout.pressure[d]
             Mff, Kff = (A.tocsr()[free][:, free] for A in (dom.ops.M, dom.ops.K))
             Avv = ((dom.rho / dt) * Mff + dom.mu * Kff).tocoo()
-            blocks.append((vo + Avv.row, vo + Avv.col, Avv.data))
+            blocks.append((vel[Avv.row], vel[Avv.col], Avv.data))
             Df = dom.ops.D.tocsr()[:, free].tocoo()
-            blocks.append((po + Df.row, vo + Df.col, Df.data))      # continuity
-            blocks.append((vo + Df.col, po + Df.row, -Df.data))     # -D^T p
+            blocks.append((prs[Df.row], vel[Df.col], Df.data))      # continuity
+            blocks.append((vel[Df.col], prs[Df.row], -Df.data))     # -D^T p
         for b, (d, _, conn) in enumerate(system.connections):
             dom = system.domains[d]
-            free = dom.space.free
-            vo = self.v_off[d]
-            phi = dom.ops.flux[conn.interface_id][free]
+            phi = dom.ops.flux[conn.interface_id][dom.space.free]
             nz = np.nonzero(phi)[0]
+            vel = layout.velocity[d][nz]
             R, C = conn.resistance, conn.capacitance
-            qo, pio = self.q_off[b], self.pi_off[b]
-            blocks.append((vo + nz, np.full(len(nz), qo), R * phi[nz]))
+            qo, pio = layout.q[b], layout.pi[b]
+            blocks.append((vel, np.full(len(nz), qo), R * phi[nz]))
             if not explicit_pi:
-                blocks.append((vo + nz, np.full(len(nz), pio), phi[nz]))
-            blocks.append((np.full(len(nz), qo), vo + nz, -phi[nz]))
+                blocks.append((vel, np.full(len(nz), pio), phi[nz]))
+            blocks.append((np.full(len(nz), qo), vel, -phi[nz]))
             blocks.append(([qo, pio, pio], [qo, qo, pio], [1.0, -dt / C, 1.0]))
 
         rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
         self.matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         try:
-            self.factorization = sparse.factorize(self.matrix, system.step1_order)
+            self.factorization = sparse.factorize(self.matrix)
         except Exception as err:
             raise RuntimeError(
                 f"stage-1 factorization failed for {self._describe()}: {err}") from err
@@ -258,36 +257,30 @@ class _Step1Solver:
         return (f"{len(self.system.domains)} domain(s) with interfaces [{ifs}] "
                 f"at dt={self.dt}")
 
-    def solve(self, state: CoupledState, loads, mass_products=None) -> CoupledState:
+    def solve(self, state: CoupledState, loads, mass_products) -> CoupledState:
         """Stage 1 from `state`, with `loads` the step's slice of
         `stage1_loads` (one pair per domain) and `mass_products` its
-        velocities' M v, formed here when not given.  The momentum rows take
-        (M v)[free], which is Mff v[free] bit for bit: csr_matvec sums each
-        row in stored order, and a computed velocity is exactly 0 on the
-        walls (the benchmarks' initial data, ~1e-32 there, stay below the
-        sums' last bit)."""
-        sys_ = self.system
-        if mass_products is None:
-            mass_products = sys_.mass_products(state.velocities)
+        velocities' M v.  The momentum rows take (M v)[free], which is
+        Mff v[free] bit for bit: csr_matvec sums each row in stored order,
+        and a computed velocity is exactly 0 on the walls (the benchmarks'
+        initial data, ~1e-32 there, stay below the sums' last bit)."""
+        sys_, layout = self.system, self.layout
         rhs = np.zeros(self.n)
         for d, (dom, (coefficients, pbar)) in enumerate(zip(sys_.domains, loads)):
             free = dom.space.free
-            vo = self.v_off[d]
             r = (dom.rho / self.dt) * mass_products[d][free]
             if coefficients is not None:
                 r += dom.body_load.vector(coefficients)[free]
             if pbar is not None:
                 r -= float(pbar) * dom.ops.sigma[free]
-            rhs[vo:vo + len(free)] = r
+            rhs[layout.velocity[d]] = r
         for b, (d, m, conn) in enumerate(sys_.connections):
             pi_n = state.ys[m][conn.pi_index]
-            rhs[self.pi_off[b]] = pi_n
+            rhs[layout.pi[b]] = pi_n
             if self.explicit_pi:
                 dom = sys_.domains[d]
-                free = dom.space.free
-                vo = self.v_off[d]
-                phi = dom.ops.flux[conn.interface_id][free]
-                rhs[vo:vo + len(free)] -= pi_n * phi
+                phi = dom.ops.flux[conn.interface_id][dom.space.free]
+                rhs[layout.velocity[d]] -= pi_n * phi
 
         try:
             x = self.factorization.solve(rhs)
@@ -295,19 +288,17 @@ class _Step1Solver:
             raise RuntimeError(f"stage-1 solve failed at t={state.t} for "
                                f"{self._describe()}: {err}") from err
 
-        vels, prs = [], []
+        vels = []
         for d, dom in enumerate(sys_.domains):
-            free = dom.space.free
-            vo, po = self.v_off[d], self.p_off[d]
             v = np.zeros(dom.space.n_velocity)
-            v[free] = x[vo:vo + len(free)]
+            v[dom.space.free] = x[layout.velocity[d]]
             vels.append(v)
-            prs.append(x[po:po + dom.space.n_pressure].copy())
+        prs = [x[positions] for positions in layout.pressure]
         ys = [y.copy() for y in state.ys]
         interfaces = {}
         for b, (_, m, conn) in enumerate(sys_.connections):
-            Q = float(x[self.q_off[b]])
-            pi = float(x[self.pi_off[b]])
+            Q = float(x[layout.q[b]])
+            pi = float(x[layout.pi[b]])
             ys[m][conn.pi_index] = pi
             interfaces[conn.interface_id] = InterfaceValues(pi + conn.resistance * Q, Q, pi)
         return CoupledState(vels, prs, ys, interfaces, state.t)
@@ -359,13 +350,8 @@ def stage2_sources(system: CoupledSystem, starts: np.ndarray, dt: float,
     return out
 
 
-def _loads_of_step(loads, k: int) -> list:
-    return [(None if c is None else c[k], None if p is None else p[k])
-            for c, p in loads]
-
-
 def step1(system: CoupledSystem, state: CoupledState, dt: float,
-          explicit_pi: bool = False, loads=None, mass_products=None) -> CoupledState:
+          explicit_pi: bool, loads, mass_products) -> CoupledState:
     """Stage 1: one implicit step of the flow/interface subsystem.
 
     Returns the intermediate state: velocities and pressures at the new
@@ -373,23 +359,17 @@ def step1(system: CoupledSystem, state: CoupledState, dt: float,
     copied unchanged.  The state's clock still marks the interval start;
     stage 2 advances it.  `loads` is this step's slice of `stage1_loads`
     and `mass_products` the M v of the state's velocities, as `run` hands
-    them over; without them the step evaluates its own.
+    them over.
     """
-    if loads is None:
-        loads = _loads_of_step(stage1_loads(system, step_times(state.t, dt, 1)[1:]), 0)
     return system.step1_solver(dt, explicit_pi).solve(state, loads, mass_products)
 
 
 def step2(system: CoupledSystem, state: CoupledState, dt: float,
-          s_sub: int, sources=None) -> CoupledState:
+          s_sub: int, sources) -> CoupledState:
     """Stage 2: interior circuit dynamics; velocities and pressures are
     reused as-is (bitwise), only circuit states and the clock move.
     `sources` is this step's slice of `stage2_sources`, one (s_sub, dim)
-    block per circuit, as `run` hands it over; without it the step
-    evaluates its own."""
-    if sources is None:
-        sources = [s[0] for s in stage2_sources(
-            system, step_times(state.t, dt, 1)[:-1], dt, s_sub)]
+    block per circuit, as `run` hands it over."""
     ys = [step2_integrate(spec, y, state.t, s_sub, dt / s_sub, src)
           for spec, y, src in zip(system.circuits, state.ys, sources)]
     return CoupledState(state.velocities, state.pressures, ys,
@@ -411,19 +391,21 @@ def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
         n_steps: int, observers=(), explicit_pi: bool = False) -> CoupledState:
     """Apply step1 then step2 n_steps times, invoking observers after each
     step.  The time-only inputs of up to BLOCK_STEPS steps are evaluated
-    at once, on the clock of the block's first state."""
+    at once, on the clock of the block's first state, and M v of the start
+    state before the first step."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     dt, s_sub = config.dt, config.s_sub
-    mass_products = None
+    mass_products = system.mass_products(state.velocities)
     for first in range(0, n_steps, BLOCK_STEPS):
         n_block = min(BLOCK_STEPS, n_steps - first)
         times = step_times(state.t, dt, n_block)
         loads = stage1_loads(system, times[1:])
         sources = stage2_sources(system, times[:-1], dt, s_sub)
         for k in range(n_block):
-            mid = step1(system, state, dt, explicit_pi, _loads_of_step(loads, k),
-                        mass_products)
+            step_loads = [(None if c is None else c[k], None if p is None else p[k])
+                          for c, p in loads]
+            mid = step1(system, state, dt, explicit_pi, step_loads, mass_products)
             new = step2(system, mid, dt, s_sub, [s[k] for s in sources])
             mass_products = system.mass_products(new.velocities)
             record = StepRecord(first + k, state, mid, new, mass_products)

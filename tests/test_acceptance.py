@@ -8,8 +8,8 @@ them are marked `slow`, everything else is fast.
 import numpy as np
 import pytest
 
-from stokes0d import (build_case, build_rect_mesh, build_space, eval_B,
-                      exact_for, step1, step2, verify_exact)
+from stokes0d import (StepConfig, build_case, build_rect_mesh, build_space, eval_B,
+                      exact_for, run, verify_exact)
 from stokes0d.circuits import capacitance_a, resistance_a
 from stokes0d.fem import assemble_operators, boundary_flux_vector
 from stokes0d.harness import convergence_study, peak_errors, stability_run
@@ -151,10 +151,11 @@ def test_criterion_6_structural_invariants():
     details.append(f"B={'ok' if b_ok else 'bad'}")
 
     # stage-1 freezes the volume state, stage-2 the velocity (bitwise)
-    state = case.initial_state()
-    mid = step1(case.system, state, 0.01)
+    records = []
+    run(case.system, case.initial_state(), StepConfig(0.01, 5), 1,
+        observers=(records.append,))
+    state, mid, new = records[0].previous, records[0].intermediate, records[0].state
     frozen = mid.ys[0][1] == state.ys[0][1]
-    new = step2(case.system, mid, 0.01, 5)
     bitwise = all(a.tobytes() == b.tobytes()
                   for a, b in zip(new.velocities, mid.velocities))
     ok = ok and frozen and bitwise

@@ -17,16 +17,20 @@ def coarse_case(example=1, **kw):
     return build_case(example, **kw)
 
 
+def full_energy_report(system, state):
+    return energy_report(system, state, system.mass_products(state.velocities))
+
+
 def test_energy_report_zero_state():
     case = coarse_case(zero_forcing=True)
-    rep = energy_report(case.system, case.system.zero_state())
+    rep = full_energy_report(case.system, case.system.zero_state())
     assert (rep.e_omega, rep.e_ups, rep.d_omega, rep.d_rc, rep.u_ups) \
         == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_energy_report_exact_initial_state():
     case = build_case(1, nx=100, ny=20)
-    rep = energy_report(case.system, case.initial_state())
+    rep = full_energy_report(case.system, case.initial_state())
     assert abs(rep.e_omega - 60.0) <= 1e-3 * 60.0
 
 
@@ -257,6 +261,20 @@ def test_convergence_study_checks_every_dt_and_a_period_budget():
         convergence_study(_never_built, [0.05, float("nan")])
 
 
+def test_convergence_study_checks_the_period_before_any_run(monkeypatch):
+    from stokes0d import harness
+    runs, builds = [], []
+    monkeypatch.setattr(harness, "run_to_periodicity", lambda *a, **k: runs.append(a))
+
+    def builder():
+        builds.append(1)
+        return coarse_case(nx=8, ny=2)
+
+    with pytest.raises(ValueError, match="dt=0.003 does not divide the period"):
+        convergence_study(builder, [0.05, 0.003])
+    assert runs == [] and len(builds) == 1
+
+
 def test_stability_run_fails_when_the_energy_goes_nan():
     params = dataclasses.replace(params_for(1), R_b=float("nan"))
     case = build_case(1, nx=8, ny=2, zero_forcing=True, params=params)
@@ -280,12 +298,12 @@ def test_stability_run_matches_full_energy_reports(unforced_20x4, key, dt, expli
     case = unforced_20x4[key]
     n_steps = 60
     state = case.initial_state()
-    e0 = energy_report(case.system, state).total
+    e0 = full_energy_report(case.system, state).total
     fold = {"e_prev": e0, "inc": -np.inf, "chain": -np.inf, "resid": 0.0}
 
     def audit(record):
-        e_mid = energy_report(case.system, record.intermediate).total
-        e_new = energy_report(case.system, record.state).total
+        e_mid = full_energy_report(case.system, record.intermediate).total
+        e_new = full_energy_report(case.system, record.state).total
         _, _, rel = step1_energy_residual(case.system, record.previous,
                                           record.intermediate, dt)
         fold["inc"] = float(np.max([fold["inc"], e_new - fold["e_prev"]]))

@@ -208,6 +208,9 @@ def test_non_positive_circuit_element_rejected(tmp_path, capsys, example, overri
     (["convergence", "--dt-list", "0.5", "--eps-per", "nan"], "eps_per"),
     (["simulate", "--sub", "-1"], "sub"),
     (["stability", "--sub", "-1", "--dt-list", "1"], "sub"),
+    (["stability", "--steps", "0", "--dt-list", "1"], "steps"),
+    (["stability", "--steps", "-3", "--dt-list", "1"], "steps"),
+    (["convergence", "--dt-list", "0.01,0.003"], "dt"),
 ])
 def test_invalid_run_settings_rejected(tmp_path, capsys, argv, name):
     rc = main([*argv, "--nx", "8", "--ny", "2", "--out", str(tmp_path / "run")])

@@ -1,6 +1,7 @@
-"""One mass product per state: `splitting.run` forms M v of each new state
-once and hands it on; stage 1, the period tracker, the series and the
-stability audit read it, and each gives the bits it gives without it."""
+"""One mass product per state: `splitting.run` forms M v of its start state
+and of each new state once and hands it on; stage 1, the period tracker, the
+series and the stability audit read it, and each gives the bits it gives
+with M v formed anew."""
 import numpy as np
 import pytest
 import scipy.sparse._sparsetools as sparsetools
@@ -50,54 +51,62 @@ def test_records_carry_the_mass_products_of_their_new_state(example, nonlinear):
 
 
 @pytest.mark.parametrize("example, nonlinear", CASES)
-def test_stage1_reads_only_the_free_rows_of_a_handed_product(example, nonlinear):
-    # stage 1 from the run's own states and from the initial state gives the
-    # same bits with the handed M v, with only Mff v[free] handed (NaN on the
-    # walls) and with nothing handed
+def test_stage1_reads_only_the_free_rows_of_a_handed_product(monkeypatch, example,
+                                                             nonlinear):
+    # stage 1 of every step of a run, the first included, gives the same
+    # bits with the M v that run hands it and with only Mff v[free] handed
+    # (NaN on the walls)
+    handed = []
+    real = splitting.step1
+
+    def spy(system, state, dt, explicit_pi, loads, mass_products):
+        handed.append((state, loads))
+        return real(system, state, dt, explicit_pi, loads, mass_products)
+
+    monkeypatch.setattr(splitting, "step1", spy)
     case, records = _records(example, nonlinear)
-    sys_, dt = case.system, 0.05
-    solver = sys_.step1_solver(dt)
-    starts = [(case.initial_state(), None)] + [(r.state, r.mass_products) for r in records]
-    for k, (state, handed) in enumerate(starts[:-1]):
-        loads = splitting._loads_of_step(splitting.stage1_loads(
-            sys_, splitting.step_times(state.t, dt, 1)[1:]), 0)
+    sys_ = case.system
+    solver = sys_.step1_solver(0.05)
+    assert len(handed) == len(records)
+    for (state, loads), rec in zip(handed, records):
         free_block = []
         for dom, v in zip(sys_.domains, state.velocities):
             free = dom.space.free
             w = np.full(dom.space.n_velocity, np.nan)
             w[free] = dom.ops.M.tocsr()[free][:, free] @ v[free]
             free_block.append(w)
-        alone = solver.solve(state, loads)
-        for products in (handed, free_block):
-            got = solver.solve(state, loads, products)
-            assert [v.tobytes() for v in got.velocities] == \
-                [v.tobytes() for v in alone.velocities]
-            assert [p.tobytes() for p in got.pressures] == \
-                [p.tobytes() for p in alone.pressures]
-            assert got.interfaces == alone.interfaces
-        nxt = records[k].intermediate
-        assert [v.tobytes() for v in nxt.velocities] == \
-            [v.tobytes() for v in alone.velocities]
+        got = solver.solve(state, loads, free_block)
+        want = rec.intermediate
+        assert [v.tobytes() for v in got.velocities] == \
+            [v.tobytes() for v in want.velocities]
+        assert [p.tobytes() for p in got.pressures] == \
+            [p.tobytes() for p in want.pressures]
+        assert got.interfaces == want.interfaces
 
 
 @pytest.mark.parametrize("example, nonlinear", CASES)
 def test_observers_give_the_same_bits_with_and_without_handed_products(example, nonlinear):
+    # the record's M v against M v formed anew from each state
     case, records = _records(example, nonlinear, dt=0.25, n_steps=24)
     sys_, dt_fd = case.system, 1e-6 * case.tau
+
+    def fresh(state):
+        return sys_.mass_products(state.velocities)
+
     handed, alone = _PeriodTracker(sys_, 8), _PeriodTracker(sys_, 8)
-    handed.push(case.initial_state())
-    alone.push(case.initial_state())
+    handed.push(case.initial_state(), fresh(case.initial_state()))
+    alone.push(case.initial_state(), fresh(case.initial_state()))
     for rec in records:
         handed.push(rec.state, rec.mass_products)
-        alone.push(rec.state)
-        assert _hex(energy_report(sys_, rec.state, dt_fd, rec.mass_products)) == \
-            _hex(energy_report(sys_, rec.state, dt_fd))
+        alone.push(rec.state, fresh(rec.state))
+        assert _hex(energy_report(sys_, rec.state, rec.mass_products, dt_fd)) == \
+            _hex(energy_report(sys_, rec.state, fresh(rec.state), dt_fd))
         e_mid, e_new, rel = step_energy_audit(sys_, rec, 0.25)
         assert [e_mid.hex(), e_new.hex(), rel.hex()] == [
-            energy_report(sys_, rec.intermediate).total.hex(),
-            energy_report(sys_, rec.state).total.hex(),
+            energy_report(sys_, rec.intermediate, fresh(rec.intermediate)).total.hex(),
+            energy_report(sys_, rec.state, fresh(rec.state)).total.hex(),
             step1_energy_residual(sys_, rec.previous, rec.intermediate, 0.25)[2].hex()]
-    assert list(handed.velocity_sq_norms) == list(alone.velocity_sq_norms)
+    assert [norms for _, norms in handed.buffer] == [norms for _, norms in alone.buffer]
     assert sorted(handed.gaps) == [2, 3]
     assert {p: g.hex() for p, g in handed.gaps.items()} == \
         {p: g.hex() for p, g in alone.gaps.items()}
@@ -105,8 +114,8 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
 
 def test_a_step_with_series_makes_five_sparse_products(monkeypatch):
     # nonlinear benchmark 1 with series: M v of the new state (run), the
-    # tracker's M d, Mp d and Mp prev, and the series' K v; the first step of
-    # each run forms its stage-1 M v itself
+    # tracker's M d, Mp d and Mp prev, and the series' K v; each run also
+    # forms M v of its start state before its first step
     calls = []
     real = sparsetools.csr_matvec
 

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from stokes0d import SingularMatrixError, build_case, factorize
-from stokes0d.sparse import TINY_RHS
+from stokes0d.sparse import TINY_RHS, _factorize_on_diagonal
 
 
 def normwise_backward_error(a, x, b):
@@ -69,18 +69,6 @@ def test_nonsquare_rejected():
         factorize(sp.csr_matrix((2, 3)))
 
 
-def test_singular_pivot_in_callers_numbering():
-    # chain 0-2-3-4 with row/col 1 empty; the elimination order moves row 1
-    rows = [0, 2, 3, 4, 0, 2, 2, 3, 3, 4]
-    cols = [0, 2, 3, 4, 2, 0, 3, 2, 4, 3]
-    a = sp.csr_matrix(([4.0] * 4 + [1.0] * 6, (rows, cols)), shape=(5, 5))
-    order = np.array([4, 3, 0, 2, 1])
-    assert order[1] != 1
-    with pytest.raises(SingularMatrixError) as err:
-        factorize(a, order)
-    assert err.value.pivot == 1
-
-
 def test_tiny_diagonal_falls_back_to_partial_pivoting():
     # keeping the diagonal pivots of this matrix gives backward error 2e-4
     rng = np.random.default_rng(30)
@@ -88,8 +76,8 @@ def test_tiny_diagonal_falls_back_to_partial_pivoting():
     a = sp.random(n, n, density=0.2, random_state=rng, format="csc")
     a = (a + sp.diags(10.0 ** rng.uniform(-18, 0, n))).tocsc()
     b = rng.standard_normal(n)
+    assert _factorize_on_diagonal(sp.csr_matrix(a)) is None
     f = factorize(a)
-    assert f.perm is None
     assert normwise_backward_error(a, f.solve(b), b) <= 1e-14
 
 
@@ -103,7 +91,8 @@ STAGE1_DTS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_stage1_keeps_symmetric_ordering(example):
-    # at the paper's parameters the diagonal pivots pass the check: no fallback
+    # at the paper's parameters the diagonal pivots pass the check: no
+    # fallback, the factors keep the matrix's own numbering
     meshes = [(20, 4, STAGE1_DTS), (50, 10, STAGE1_DTS)]
     if example == 1:
         meshes.append((100, 20, (1e-3, 10.0)))
@@ -112,7 +101,8 @@ def test_stage1_keeps_symmetric_ordering(example):
         for dt in dts:
             solver = system.step1_solver(dt)
             f = solver.factorization
-            assert f.perm is system.step1_order
+            assert np.array_equal(f._lu.perm_c, np.arange(f.n))
+            assert np.array_equal(f._lu.perm_r, np.arange(f.n))
             b = np.random.default_rng(1).standard_normal(f.n)
             assert normwise_backward_error(solver.matrix, f.solve(b), b) <= 1e-14
 
@@ -147,9 +137,7 @@ def test_tiny_rhs_solve_is_the_scaled_solve(stage1_lu_20x4):
 
 def test_normal_rhs_solve_is_not_scaled(stage1_lu_20x4):
     f, b = stage1_lu_20x4
-    x = np.empty_like(b)
-    x[f.perm] = f._lu.solve(b[f.perm], trans="T")
-    assert f.solve(b).tobytes() == x.tobytes()
+    assert f.solve(b).tobytes() == f._lu.solve(b, trans="T").tobytes()
 
 
 def test_zero_and_nan_rhs(stage1_lu_20x4):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stokes0d import StepConfig, build_case, params_for, run, splitting, step1, step2
+from stokes0d import StepConfig, build_case, params_for, run, splitting
 from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.splitting import _dissection_keys
 
@@ -22,6 +22,19 @@ def coarse_case(example=1, **kw):
     return build_case(example, **kw)
 
 
+def step_records(case, dt, n_steps, state=None, s_sub=5):
+    """The StepRecords of a run of n_steps from `state` (the exact initial
+    state by default)."""
+    records = []
+    run(case.system, case.initial_state() if state is None else state,
+        StepConfig(dt, s_sub), n_steps, observers=(records.append,))
+    return records
+
+
+def total_energy(system, state):
+    return energy_report(system, state, system.mass_products(state.velocities)).total
+
+
 def test_zero_state_zero_forcing_stays_zero():
     case = coarse_case(zero_forcing=True)
     state = case.system.zero_state()
@@ -34,7 +47,7 @@ def test_zero_state_zero_forcing_stays_zero():
 def test_step1_interface_values_near_exact():
     # one tiny step from exact initial data: interface values move O(dt)+O(h^2)
     case = coarse_case()
-    mid = step1(case.system, case.initial_state(), 1e-4)
+    mid = step_records(case, 1e-4, 1)[0].intermediate
     iv = mid.interfaces[(1, 1, 1)]
     assert abs(iv.P - 1035.7588823428846) <= 2e-2 * 1035.0
     assert abs(iv.Q - 4.0) <= 2e-2 * 4.0
@@ -44,9 +57,8 @@ def test_step1_interface_values_near_exact():
 
 def test_step1_consistency_relations():
     case = coarse_case()
-    state = case.initial_state()
-    for _ in range(3):
-        mid = step1(case.system, state, 0.01)
+    for rec in step_records(case, 0.01, 3):
+        mid = rec.intermediate
         for d, _, conn in case.system.connections:
             iv = mid.interfaces[conn.interface_id]
             dom = case.system.domains[d]
@@ -54,23 +66,19 @@ def test_step1_consistency_relations():
             assert abs(iv.Q - flux) <= 1e-10 * max(1.0, abs(iv.Q))
             assert abs(iv.P - iv.pi - conn.resistance * iv.Q) \
                 <= 1e-10 * max(1.0, abs(iv.P))
-        state = step2(case.system, mid, 0.01, 5)
 
 
 def test_mass_conservation_of_stage1_solution():
     # stage-1 velocities are discretely divergence free and vanish on the
     # walls, so all boundary fluxes (interfaces plus external side) cancel
     case = coarse_case()
-    state = case.initial_state()
-    for _ in range(3):
-        mid = step1(case.system, state, 0.01)
+    for rec in step_records(case, 0.01, 3):
         for d, dom in enumerate(case.system.domains):
-            v = mid.velocities[d]
+            v = rec.intermediate.velocities[d]
             total = float(dom.ops.sigma @ v)
             total += sum(float(dom.ops.flux[conn.interface_id] @ v)
                          for dc, _, conn in case.system.connections if dc == d)
             assert abs(total) <= 1e-10
-        state = step2(case.system, mid, 0.01, 5)
 
 
 def test_step1_flow_direction_from_circuit_pressure():
@@ -78,7 +86,7 @@ def test_step1_flow_direction_from_circuit_pressure():
     case = coarse_case(zero_forcing=True)
     state = case.system.zero_state()
     state.ys[0][0] = 100.0
-    mid = step1(case.system, state, 0.01)
+    mid = step_records(case, 0.01, 1, state)[0].intermediate
     iv = mid.interfaces[(1, 1, 1)]
     assert iv.Q < 0.0
     _, _, rel = step1_energy_residual(case.system, state, mid, 0.01)
@@ -87,12 +95,9 @@ def test_step1_flow_direction_from_circuit_pressure():
 
 def test_step1_energy_identity_with_forcing():
     case = coarse_case()
-    state = case.initial_state()
-    for _ in range(5):
-        mid = step1(case.system, state, 0.01)
-        _, _, rel = step1_energy_residual(case.system, state, mid, 0.01)
+    for rec in step_records(case, 0.01, 5):
+        _, _, rel = step1_energy_residual(case.system, rec.previous, rec.intermediate, 0.01)
         assert rel <= 1e-8
-        state = step2(case.system, mid, 0.01, 5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,9 +123,8 @@ def test_step1_identity_and_solve_accuracy_any_scaling(example, log_rho, log_mu,
         return x
 
     f.solve = recording_solve
-    state = case.initial_state()
-    mid = step1(case.system, state, dt)
-    _, _, rel = step1_energy_residual(case.system, state, mid, dt)
+    rec, = step_records(case, dt, 1, s_sub=case.s_sub)
+    _, _, rel = step1_energy_residual(case.system, rec.previous, rec.intermediate, dt)
     assert rel <= 1e-8
     (rhs, x), = solves
     assert normwise_backward_error(solver.matrix, x, rhs) <= 1e-12
@@ -132,38 +136,37 @@ def test_stage1_matrix_matches_block_definition(explicit_pi):
     case = coarse_case(2)
     dt = 0.01
     solver = case.system.step1_solver(dt, explicit_pi)
+    layout = case.system.step1_layout
     x = np.random.default_rng(5).standard_normal(solver.n)
     expected = np.zeros(solver.n)
     for d, dom in enumerate(case.system.domains):
         free = dom.space.free
-        v = x[solver.v_off[d]:solver.v_off[d] + len(free)]
-        p = x[solver.p_off[d]:solver.p_off[d] + dom.space.n_pressure]
+        vel, prs = layout.velocity[d], layout.pressure[d]
+        v, p = x[vel], x[prs]
         M = dom.ops.M.tocsr()[free][:, free]
         K = dom.ops.K.tocsr()[free][:, free]
         D = dom.ops.D.tocsr()[:, free]
-        expected[solver.v_off[d]:solver.v_off[d] + len(free)] = (
-            dom.rho / dt * (M @ v) + dom.mu * (K @ v) - D.T @ p)
-        expected[solver.p_off[d]:solver.p_off[d] + len(p)] = D @ v
+        expected[vel] = dom.rho / dt * (M @ v) + dom.mu * (K @ v) - D.T @ p
+        expected[prs] = D @ v
     for b, (d, _, conn) in enumerate(case.system.connections):
         dom = case.system.domains[d]
-        free = dom.space.free
-        vo = solver.v_off[d]
-        phi = dom.ops.flux[conn.interface_id][free]
+        vel = layout.velocity[d]
+        phi = dom.ops.flux[conn.interface_id][dom.space.free]
         R, C = conn.resistance, conn.capacitance
-        q, pi = x[solver.q_off[b]], x[solver.pi_off[b]]
-        expected[vo:vo + len(free)] += R * q * phi
+        q, pi = x[layout.q[b]], x[layout.pi[b]]
+        expected[vel] += R * q * phi
         if not explicit_pi:
-            expected[vo:vo + len(free)] += pi * phi
-        expected[solver.q_off[b]] = -phi @ x[vo:vo + len(free)] + q
-        expected[solver.pi_off[b]] = -dt / C * q + pi
+            expected[vel] += pi * phi
+        expected[layout.q[b]] = -phi @ x[vel] + q
+        expected[layout.pi[b]] = -dt / C * q + pi
     got = solver.matrix @ x
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_step2_preserves_fields_bitwise():
     case = coarse_case()
-    mid = step1(case.system, case.initial_state(), 0.01)
-    new = step2(case.system, mid, 0.01, 5)
+    rec, = step_records(case, 0.01, 1)
+    mid, new = rec.intermediate, rec.state
     assert new.velocities[0] is mid.velocities[0]
     assert new.pressures[0] is mid.pressures[0]
     assert new.t == mid.t + 0.01
@@ -172,14 +175,10 @@ def test_step2_preserves_fields_bitwise():
 def test_energy_chain_three_decades_of_dt():
     case = coarse_case(zero_forcing=True)
     for dt in (0.1, 1.0, 10.0):
-        state = case.initial_state()
-        e = energy_report(case.system, state).total
-        e0 = e
-        for _ in range(10):
-            mid = step1(case.system, state, dt)
-            e_mid = energy_report(case.system, mid).total
-            state = step2(case.system, mid, dt, 5)
-            e_new = energy_report(case.system, state).total
+        e = e0 = total_energy(case.system, case.initial_state())
+        for rec in step_records(case, dt, 10):
+            e_mid = total_energy(case.system, rec.intermediate)
+            e_new = total_energy(case.system, rec.state)
             assert e_mid <= e + 1e-12 * e0
             assert e_new <= e_mid + 1e-12 * e0
             e = e_new
@@ -197,23 +196,13 @@ def test_run_zero_steps_and_determinism():
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.ys, b.ys))
 
 
-def test_run_one_step_equals_step1_then_step2():
-    case = coarse_case()
-    cfg = StepConfig(0.02, 4)
-    s1 = run(case.system, case.initial_state(), cfg, 1)
-    s2 = step2(case.system, step1(case.system, case.initial_state(), cfg.dt),
-               cfg.dt, cfg.s_sub)
-    assert all(np.array_equal(x, y) for x, y in zip(s1.velocities, s2.velocities))
-    assert all(np.array_equal(x, y) for x, y in zip(s1.ys, s2.ys))
-
-
 def test_observers_see_each_step():
     case = coarse_case()
     seen = []
 
     def obs(record):
         seen.append((record.step, record.state.t, record.state.interfaces[(1, 1, 1)].Q,
-                     energy_report(case.system, record.state).total))
+                     energy_report(case.system, record.state, record.mass_products).total))
 
     run(case.system, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
     assert [s[0] for s in seen] == [0, 1, 2]
@@ -241,7 +230,7 @@ def test_stage1_failure_identifies_interfaces(monkeypatch):
 
     monkeypatch.setattr(solver.factorization, "solve", boom)
     with pytest.raises(RuntimeError, match=r"\(1, 1, 1\)"):
-        step1(case.system, case.initial_state(), 0.01)
+        run(case.system, case.initial_state(), StepConfig(0.01, 5), 1)
 
 
 def test_dissection_of_a_line_of_nodes():
@@ -261,10 +250,10 @@ def _base3_digits(keys):
 def test_step1_order_is_a_nested_dissection(example, nx, ny):
     system = coarse_case(example, nx=nx, ny=ny).system
     solver = system.step1_solver(0.01)
-    order = system.step1_order
-    assert np.array_equal(np.sort(order), np.arange(solver.n))
+    layout = system.step1_layout
+    assert layout.n == solver.n
     n_border = 2 * len(system.connections)
-    assert np.array_equal(order[solver.n - n_border:],
+    assert np.array_equal(np.column_stack([layout.q, layout.pi]).ravel(),
                           np.arange(solver.n - n_border, solver.n))
     a = solver.matrix.tocoo()
     start = 0
@@ -273,19 +262,20 @@ def test_step1_order_is_a_nested_dissection(example, nx, ny):
         node = np.concatenate([space.free % space.n_scalar, np.arange(space.n_pressure)])
         kind = np.repeat([0, 1], [len(space.free), space.n_pressure])
         group = _dissection_keys(space.node_grid())[node]
-        local = order[start:start + len(node)] - solver.v_off[d]
-        start += len(node)
-        assert np.array_equal(np.sort(local), np.arange(len(node)))
+        position = np.concatenate([layout.velocity[d], layout.pressure[d]])
+        assert np.array_equal(np.sort(position), start + np.arange(len(node)))
+        local = np.argsort(position)    # the unknown at each position, in order
         # groups in ascending key order, each one's velocities before its pressures
         g, k = group[local], kind[local]
         assert np.all((np.diff(g) > 0) | ((np.diff(g) == 0) & (np.diff(k) >= 0)))
         # no entry couples the two halves of a box: where two coupled unknowns'
         # dissection paths part, one of them lies on the separator
-        inside = ((a.row >= solver.v_off[d]) & (a.row < solver.v_off[d] + len(node))
-                  & (a.col >= solver.v_off[d]) & (a.col < solver.v_off[d] + len(node)))
+        inside = ((a.row >= start) & (a.row < start + len(node))
+                  & (a.col >= start) & (a.col < start + len(node)))
         digits = _base3_digits(group)
-        di = digits[a.row[inside] - solver.v_off[d]]
-        dj = digits[a.col[inside] - solver.v_off[d]]
+        di = digits[local[a.row[inside] - start]]
+        dj = digits[local[a.col[inside] - start]]
+        start += len(node)
         parted = np.any(di != dj, axis=1)
         first = np.argmax(di != dj, axis=1)[parted]
         rows = np.arange(len(di))[parted]
@@ -306,9 +296,10 @@ def test_stability_sweep_shares_one_step1_order(monkeypatch):
     case = coarse_case(zero_forcing=True, nx=8, ny=2)
     for dt in (0.1, 1.0, 10.0):
         harness.stability_run(case, dt, 2)
-    perms = [case.system.step1_solver(dt).factorization.perm for dt in (0.1, 1.0, 10.0)]
+    layouts = [case.system.step1_solver(dt).layout for dt in (0.1, 1.0, 10.0)]
+    layouts.append(case.system.step1_solver(0.1, explicit_pi=True).layout)
     assert len(calls) == len(case.system.domains)
-    assert all(p is case.system.step1_order for p in perms)
+    assert all(layout is case.system.step1_layout for layout in layouts)
 
 
 def test_binding_validation():
@@ -360,21 +351,20 @@ def test_run_never_mutates_a_state(example, nonlinear):
 @pytest.mark.parametrize("s_sub", [1, 5, 10])
 @pytest.mark.parametrize("example, nonlinear", [(1, True), (2, False), (3, False)])
 def test_run_equals_chained_steps_bytewise(monkeypatch, example, nonlinear, s_sub, block):
-    # run evaluates the time-only inputs of a block of steps at once; each
-    # step alone evaluates its own: the two must agree to the last bit,
-    # also across block boundaries and from a clock that is not 0
+    # run evaluates the time-only inputs of a block of steps at once; a run
+    # of one step evaluates them for that step alone: the two must agree to
+    # the last bit, also across block boundaries and from a clock that is not 0
     monkeypatch.setattr(splitting, "BLOCK_STEPS", block)
     case = coarse_case(example, nonlinear=nonlinear, nx=8, ny=2)
-    sys_, dt = case.system, 0.03
+    sys_, config = case.system, StepConfig(0.03, s_sub)
     start = dataclasses.replace(case.initial_state(), t=0.37)
     seen = []
-    got = run(sys_, start, StepConfig(dt, s_sub), 7,
-              observers=(lambda r: seen.append(r),))
+    got = run(sys_, start, config, 7, observers=(seen.append,))
     state = start
     for rec in seen:
-        mid = step1(sys_, state, dt)
-        _assert_states_equal(rec.intermediate, mid)
-        state = step2(sys_, mid, dt, s_sub)
+        one = []
+        state = run(sys_, state, config, 1, observers=(one.append,))
+        _assert_states_equal(rec.intermediate, one[0].intermediate)
         _assert_states_equal(rec.state, state)
     assert len(seen) == 7 and [r.step for r in seen] == list(range(7))
     _assert_states_equal(got, state)
