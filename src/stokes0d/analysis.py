@@ -8,13 +8,12 @@ recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
 `step_energy_audit` gives the energy chain and that residual of one step
 from a single pass over the flow regions.  The kinetic energies read the
-mass products M v that `splitting.run` forms once per state and hands on in
-its step records.
+mass products M v that are formed once per state and handed on in
+`splitting.run`'s step records.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -125,7 +124,6 @@ class ErrorReport:
     err_v: float
     err_p: float
     err_y: float
-    period_index: Optional[int] = None
 
 
 def error_norms(system, states, exact, dt: float) -> ErrorReport:

@@ -1,14 +1,14 @@
 """Command-line front end: simulate, convergence, stability, verify-oracle.
 
 Configuration can come from flags or from a plain "key = value" text file
-(--config); flags win.  Numeric output is written with shortest-round-trip
-formatting, so identical configurations produce byte-identical files.
+(--config), which stands for the flags it names; flags win.  Numeric output
+is written with shortest-round-trip formatting, so identical configurations
+produce byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cases import DEFAULT_SUBSTEPS, build_case
@@ -18,7 +18,6 @@ from .harness import (convergence_study, peak_errors, run_to_periodicity,
 from .params import params_for
 from .splitting import check_positive
 
-CONVERGENCE_DTS = (0.01, 0.005, 0.001)
 STABILITY_DTS = (0.1, 1.0, 10.0)
 ORACLE_TOL = 1e-10
 # relative weak-form residual of interpolated exact fields scales like h^2;
@@ -26,54 +25,72 @@ ORACLE_TOL = 1e-10
 WEAK_BAND = 0.5
 
 
-@dataclass
-class RunConfig:
-    example: int = 1
-    nonlinear: bool = False
-    dt: float = 0.01
-    sub: int = 0                 # 0 = per-example default
-    nx: int = 100
-    ny: int = 20
-    max_periods: int = 10
-    eps_per: float = 1e-6
-    steps: int = 200             # stability runs
-    dt_list: tuple = ()
-    overrides: dict = field(default_factory=dict)
-    out: str = ""
-
-    def substeps(self) -> int:
-        if self.sub < 0:
-            raise ValueError(f"sub must be >= 0 (0 = per-example default), got sub={self.sub}")
-        return self.sub if self.sub > 0 else DEFAULT_SUBSTEPS[self.example]
-
-    def parameters(self):
-        return params_for(self.example).replace(**self.overrides)
+def float_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v)
 
 
-def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def override(item: str) -> tuple:
+    """--set NAME=VALUE as (NAME, VALUE)."""
+    name, _, value = item.partition("=")
+    return name.strip(), float(value)
+
+
+# The run settings, one flag each; a --config file sets them by these keys.
+RUN_SETTINGS = {
+    "example": dict(type=int, choices=(1, 2, 3), default=1),
+    "nonlinear": dict(action="store_true"),
+    "dt": dict(type=float, default=0.01),
+    "sub": dict(type=int, default=0, help="stage-2 substeps; 0 = per-example default"),
+    "nx": dict(type=int, default=100),
+    "ny": dict(type=int, default=20),
+    "max_periods": dict(type=int, default=10),
+    "eps_per": dict(type=float, default=1e-6),
+    "steps": dict(type=int, default=200, help="steps of each stability run"),
+    "dt_list": dict(type=float_list, default=(), help="comma-separated time steps"),
+    "out": dict(default=""),
+}
+
+
+def _config_flags(path: str) -> list:
+    """The flags a `key = value` file stands for: `key = value` is
+    --key-with-hyphens=value, `set.NAME = V` is --set=NAME=V, and
+    `nonlinear = true` is --nonlinear (`false`: no flag).  The last line
+    of a key wins."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as err:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {err.strerror}") from None
+    flags = {}
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
+        key, eq, val = (part.strip() for part in line.partition("="))
+        where = f"{path} line {lineno}"
+        if not eq:
+            raise argparse.ArgumentTypeError(f"{where}: expected 'key = value', got {line!r}")
         if key.startswith("set."):
-            cfg.overrides[key[4:]] = float(val)
-        elif key == "dt_list":
-            cfg.dt_list = tuple(float(v) for v in val.split(",") if v)
-        elif key in ("example", "sub", "nx", "ny", "max_periods", "steps"):
-            setattr(cfg, key, int(val))
-        elif key in ("dt", "eps_per"):
-            setattr(cfg, key, float(val))
+            flags[key] = [f"--set={key[4:]}={val}"]
         elif key == "nonlinear":
-            setattr(cfg, key, val.lower() in ("true", "1", "yes"))
-        elif key == "out":
-            cfg.out = val
+            if val not in ("true", "false"):
+                raise argparse.ArgumentTypeError(
+                    f"{where}: nonlinear must be true or false, got {val!r}")
+            flags[key] = ["--nonlinear"] if val == "true" else []
+        elif key in RUN_SETTINGS:
+            flags[key] = [f"--{key.replace('_', '-')}={val}"]
         else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return cfg
+            raise argparse.ArgumentTypeError(f"{where}: unknown key {key!r}")
+    return [flag for group in flags.values() for flag in group]
+
+
+def substeps(cfg) -> int:
+    if cfg.sub < 0:
+        raise ValueError(f"sub must be >= 0 (0 = per-example default), got sub={cfg.sub}")
+    return cfg.sub if cfg.sub > 0 else DEFAULT_SUBSTEPS[cfg.example]
+
+
+def parameters(cfg):
+    return params_for(cfg.example).replace(**dict(cfg.overrides))
 
 
 def _fmt(x) -> str:
@@ -108,13 +125,13 @@ def _write_series_csv(path: Path, result) -> None:
             f.write(",".join(vals) + "\n")
 
 
-def _write_summary(path: Path, cfg: RunConfig, result) -> None:
+def _write_summary(path: Path, cfg, result) -> None:
     lines = [
         "[run]",
         f"example = {cfg.example}",
         f"nonlinear = {str(cfg.nonlinear).lower()}",
         f"dt = {_fmt(cfg.dt)}",
-        f"sub = {cfg.substeps()}",
+        f"sub = {substeps(cfg)}",
         f"n_tau = {result.n_tau}",
         f"converged = {str(result.converged).lower()}",
         f"periods = {result.periods}",
@@ -138,16 +155,16 @@ def _write_summary(path: Path, cfg: RunConfig, result) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg) -> Path:
     out = Path(cfg.out) if cfg.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg) -> int:
     case = build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx, ny=cfg.ny,
-                      params=cfg.parameters())
-    result = run_to_periodicity(case, cfg.dt, s_sub=cfg.substeps(),
+                      params=parameters(cfg))
+    result = run_to_periodicity(case, cfg.dt, s_sub=substeps(cfg),
                                 eps_per=cfg.eps_per, max_periods=cfg.max_periods)
     out = _out_dir(cfg)
     _write_series_csv(out / "series.csv", result)
@@ -162,7 +179,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0 if result.converged else 1
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg) -> int:
     dts = cfg.dt_list if cfg.dt_list else (cfg.dt,)
     peaks = {}
 
@@ -172,9 +189,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
     study = convergence_study(
         lambda: build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
-                           ny=cfg.ny, params=cfg.parameters()),
+                           ny=cfg.ny, params=parameters(cfg)),
         dts, eps_per=cfg.eps_per, max_periods=cfg.max_periods,
-        s_sub=cfg.substeps(), collect_series=cfg.example == 1,
+        s_sub=substeps(cfg), collect_series=cfg.example == 1,
         on_result=on_result)
 
     lines = ["[convergence]", f"example = {cfg.example}",
@@ -197,22 +214,22 @@ def cmd_convergence(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stability(cfg: RunConfig, explicit_pi: bool = False) -> int:
+def cmd_stability(cfg) -> int:
     dts = cfg.dt_list if cfg.dt_list else STABILITY_DTS
     for dt in dts:      # every dt before any run, not one sweep at a time
         check_positive("dt", dt)
     if cfg.steps < 1:
         raise ValueError(f"steps must be >= 1, got steps={cfg.steps}")
-    s_sub = cfg.substeps()
+    s_sub = substeps(cfg)
     case = build_case(cfg.example, nonlinear=False, nx=cfg.nx, ny=cfg.ny,
-                      params=cfg.parameters(), zero_forcing=True)
+                      params=parameters(cfg), zero_forcing=True)
     lines = ["[stability]", f"example = {cfg.example}", f"steps = {cfg.steps}",
-             f"explicit_pi = {str(explicit_pi).lower()}", "",
+             f"explicit_pi = {str(cfg.explicit_pi).lower()}", "",
              "dt,E0,max_increase,chain_violation,identity_residual,verdict"]
     ok = True
     for dt in dts:
         rep = stability_run(case, dt, cfg.steps, s_sub=s_sub,
-                            explicit_pi=explicit_pi)
+                            explicit_pi=cfg.explicit_pi)
         passed = rep.passed()
         ok = ok and passed
         lines.append(f"{_fmt(dt)},{_fmt(rep.e0)},{_fmt(rep.max_increase)},"
@@ -227,8 +244,8 @@ def cmd_stability(cfg: RunConfig, explicit_pi: bool = False) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify_oracle(cfg: RunConfig) -> int:
-    params = cfg.parameters()
+def cmd_verify_oracle(cfg) -> int:
+    params = parameters(cfg)
     try:
         case = build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
                           ny=cfg.ny, params=params)
@@ -256,68 +273,44 @@ def cmd_verify_oracle(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+COMMANDS = {"simulate": cmd_simulate, "convergence": cmd_convergence,
+            "stability": cmd_stability, "verify-oracle": cmd_verify_oracle}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stokes0d",
         description="Coupled Stokes / lumped-circuit benchmark driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "convergence", "stability", "verify-oracle"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
+        p.add_argument("--config", type=_config_flags, default=None,
                        help="key = value file; flags override it")
-        p.add_argument("--example", type=int, choices=(1, 2, 3))
-        p.add_argument("--nonlinear", action="store_true", default=None)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--sub", type=int)
-        p.add_argument("--nx", type=int)
-        p.add_argument("--ny", type=int)
-        p.add_argument("--max-periods", dest="max_periods", type=int)
-        p.add_argument("--eps-per", dest="eps_per", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--dt-list", dest="dt_list", type=str,
-                       help="comma-separated time steps")
-        p.add_argument("--out", type=str)
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="parameter override")
+        for key, kwargs in RUN_SETTINGS.items():
+            p.add_argument(f"--{key.replace('_', '-')}", **kwargs)
+        p.add_argument("--set", dest="overrides", type=override, action="append",
+                       default=[], metavar="KEY=VALUE", help="parameter override")
         if name == "stability":
             p.add_argument("--explicit-pi", action="store_true",
                            help="test-only: lag the node pressures in stage 1")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The run settings of a command line.  A --config file's flags go
+    between the subcommand and the command line's own, so that those win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = RunConfig()
-    for key in ("example", "dt", "sub", "nx", "ny", "max_periods", "eps_per",
-                "steps", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.nonlinear is not None:
-        cfg.nonlinear = args.nonlinear
-    if args.dt_list:
-        cfg.dt_list = tuple(float(v) for v in args.dt_list.split(",") if v)
-    for item in args.overrides:
-        if "=" not in item:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
-        key, val = item.split("=", 1)
-        cfg.overrides[key.strip()] = float(val)
-    return cfg
+        args = parser.parse_args([argv[0], *args.config, *argv[1:]])
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "convergence":
-            return cmd_convergence(cfg)
-        if args.command == "stability":
-            return cmd_stability(cfg, explicit_pi=getattr(args, "explicit_pi", False))
-        return cmd_verify_oracle(cfg)
+        return COMMANDS[args.command](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -223,16 +223,16 @@ def boundary_flux_vector(space: StokesSpace, mesh: TriangleMesh, edge_ids) -> np
 
 
 def assemble_body_force(space: StokesSpace, mesh: TriangleMesh, f, t: float,
-                        degree: int = 6, rule=None) -> np.ndarray:
+                        rule=None) -> np.ndarray:
     """Load vector with entries integral of f(x, t) . phi_i.
 
     `f(points, t)` must accept an (N, 2) array of locations and return an
-    (N, 2) array of force values.  The default degree-6 rule keeps the
-    quadrature error of the transcendental forcing terms far below the
-    discretization error; `rule` overrides it (used by the quadrature
+    (N, 2) array of force values.  The degree-6 rule keeps the quadrature
+    error of the transcendental forcing terms far below the discretization
+    error; `rule` (points, weights) replaces it (used by the quadrature
     cross-check).
     """
-    q, w = rule if rule is not None else triangle_rule(degree)
+    q, w = rule if rule is not None else triangle_rule(6)
     p, J, detJ, _ = _element_geometry(mesh)
     phi = p2_basis(q)
     # physical quadrature points, (T, nq, 2)

@@ -10,7 +10,6 @@ log-log slope.
 """
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -150,6 +149,8 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     tracker.push(state, mass_products)
 
     def on_step(record):
+        nonlocal mass_products      # the last record's M v starts the next run
+        mass_products = record.mass_products
         tracker.push(record.state, record.mass_products)
         if collect_series:
             record_series(record.state, record.mass_products)
@@ -159,7 +160,8 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     converged = False
     periods = 0
     for p in range(1, max_periods + 1):
-        state = splitting.run(system, state, config, n_tau, observers=(on_step,))
+        state = splitting.run(system, state, config, n_tau, mass_products,
+                              observers=(on_step,))
         periods = p
         gap = tracker.gaps.get(p)
         if gap is not None and gap < eps_per:
@@ -169,8 +171,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     last_period = [s for s, _ in tracker.buffer] if periods >= 1 else None
     errors = None
     if converged:
-        errors = dataclasses.replace(error_norms(system, last_period, case.exact, dt),
-                                     period_index=periods)
+        errors = error_norms(system, last_period, case.exact, dt)
     return SimulateResult(case, dt, s_sub, n_tau, converged, periods,
                           dict(tracker.gaps), series, last_period, state, errors)
 
@@ -197,7 +198,8 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
     config = StepConfig(dt, s_sub)
     state = case.initial_state()
 
-    e_prev = energy_report(system, state, system.mass_products(state.velocities)).total
+    mass_products = system.mass_products(state.velocities)
+    e_prev = energy_report(system, state, mass_products).total
     e0 = e_prev
     max_inc = -np.inf
     chain_viol = -np.inf
@@ -212,8 +214,8 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
         max_resid = float(np.max([max_resid, rel]))
         e_prev = e_new
 
-    splitting.run(system, state, config, n_steps, observers=(on_step,),
-                  explicit_pi=explicit_pi)
+    splitting.run(system, state, config, n_steps, mass_products,
+                  observers=(on_step,), explicit_pi=explicit_pi)
     return StabilityReport(dt, n_steps, e0, max_inc, chain_viol, max_resid)
 
 

@@ -2,9 +2,8 @@
 
 The reference triangle has vertices (0,0), (1,0), (0,1); rule weights sum to
 the reference area 1/2.  Symmetric rules of degree 2, 4 and 6 cover every
-polynomial integrand that appears in P2/P1 assembly; a collapsed-coordinate
-Gauss product rule of arbitrary order serves as an independent cross-check
-for integrands with transcendental factors.
+polynomial integrand that appears in P2/P1 assembly; the degree-6 rule also
+integrates the transcendental body forces.
 """
 from __future__ import annotations
 
@@ -58,26 +57,6 @@ def triangle_rule(degree: int):
             pts.append((lam[1], lam[2]))  # lambda1 = xi, lambda2 = eta
             wts.append(w)
     return np.asarray(pts), 0.5 * np.asarray(wts)
-
-
-def duffy_rule(n: int):
-    """Collapsed-coordinate Gauss product rule on the reference triangle.
-
-    Maps an n x n Gauss-Legendre grid on the unit square through
-    (u, v) -> (u, v(1-u)); exact for polynomials up to degree n-1 and
-    rapidly convergent for smooth integrands.  Used as the independent
-    quadrature oracle in tests.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    U, V = np.meshgrid(u, u, indexing="ij")
-    WU, WV = np.meshgrid(wu, wu, indexing="ij")
-    xi = U
-    eta = V * (1.0 - U)
-    wts = WU * WV * (1.0 - U)  # Jacobian of the collapse
-    pts = np.column_stack([xi.ravel(), eta.ravel()])
-    return pts, wts.ravel()
 
 
 def edge_rule(npts: int = 3):

@@ -27,10 +27,10 @@ The stage-1 matrix does not depend on time, so it is factorized once per
 numbered in their elimination order, nested dissection of each domain's
 quadratic node grid, once per system for every dt and variant.
 
-`run` is the only producer of a step's inputs.  It also forms the mass
-product M v of its start state and of each new state once per domain and
-hands it on in the step record: the next stage-1 right-hand side and the
-observers' kinetic energies and norms all read it.
+`run` is the only producer of a step's inputs.  It takes the mass product
+M v of its start state from the caller, forms that of each new state once
+per domain and hands it on in the step record: the next stage-1 right-hand
+side and the observers' kinetic energies and norms all read it.
 """
 from __future__ import annotations
 
@@ -388,15 +388,15 @@ class StepRecord:
 
 
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
-        n_steps: int, observers=(), explicit_pi: bool = False) -> CoupledState:
+        n_steps: int, mass_products, observers=(),
+        explicit_pi: bool = False) -> CoupledState:
     """Apply step1 then step2 n_steps times, invoking observers after each
-    step.  The time-only inputs of up to BLOCK_STEPS steps are evaluated
-    at once, on the clock of the block's first state, and M v of the start
-    state before the first step."""
+    step; `mass_products` is the start state's M v, as the caller holds it.
+    The time-only inputs of up to BLOCK_STEPS steps are evaluated at once,
+    on the clock of the block's first state."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     dt, s_sub = config.dt, config.s_sub
-    mass_products = system.mass_products(state.velocities)
     for first in range(0, n_steps, BLOCK_STEPS):
         n_block = min(BLOCK_STEPS, n_steps - first)
         times = step_times(state.t, dt, n_block)

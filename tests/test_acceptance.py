@@ -152,8 +152,9 @@ def test_criterion_6_structural_invariants():
 
     # stage-1 freezes the volume state, stage-2 the velocity (bitwise)
     records = []
-    run(case.system, case.initial_state(), StepConfig(0.01, 5), 1,
-        observers=(records.append,))
+    start = case.initial_state()
+    run(case.system, start, StepConfig(0.01, 5), 1,
+        case.system.mass_products(start.velocities), observers=(records.append,))
     state, mid, new = records[0].previous, records[0].intermediate, records[0].state
     frozen = mid.ys[0][1] == state.ys[0][1]
     bitwise = all(a.tobytes() == b.tobytes()

@@ -170,7 +170,9 @@ def test_error_norm_symmetry_constant_U():
     # with constant U, swapping computed and exact gives the same err_y
     case = coarse_case(2)
     dt = 0.01
-    state = run(case.system, case.initial_state(), StepConfig(dt, 10), 3)
+    start = case.initial_state()
+    state = run(case.system, start, StepConfig(dt, 10), 3,
+                case.system.mass_products(start.velocities))
     spec = case.system.circuits[0]
     t = state.t
     U = np.sqrt(spec.U(state.ys[0], t))
@@ -199,7 +201,9 @@ def test_run_to_periodicity_and_streaming_gap():
     assert len(res.last_period) == res.n_tau + 1
     assert res.final_gap < 1e-6
     assert res.errors is not None and res.errors.err_v > 0
-    assert res.errors.period_index == res.periods
+    want = error_norms(case.system, res.last_period, case.exact, 0.05)
+    assert [x.hex() for x in vars(res.errors).values()] == \
+        [x.hex() for x in vars(want).values()]
 
 
 def test_streaming_gap_matches_module_function():
@@ -217,7 +221,7 @@ def test_streaming_gap_matches_module_function():
                              collect_series=False)
     assert res.errors is None
     run(case.system, state, StepConfig(0.05, case.s_sub), 3 * n_per,
-        observers=(collect,))
+        case.system.mass_products(state.velocities), observers=(collect,))
     for p in (2, 3):
         ref = periodicity_gap(case.system, states[:p * n_per + 1], n_per)
         assert abs(res.gaps[p] - ref) <= 1e-12 * max(ref, 1e-30)
@@ -312,7 +316,8 @@ def test_stability_run_matches_full_energy_reports(unforced_20x4, key, dt, expli
         fold["resid"] = float(np.max([fold["resid"], rel]))
         fold["e_prev"] = e_new
 
-    run(case.system, state, StepConfig(dt, case.s_sub), n_steps, observers=(audit,),
+    run(case.system, state, StepConfig(dt, case.s_sub), n_steps,
+        case.system.mass_products(state.velocities), observers=(audit,),
         explicit_pi=explicit_pi)
     rep = stability_run(case, dt, n_steps, explicit_pi=explicit_pi)
     expected = [e0, fold["inc"], fold["chain"], fold["resid"]]

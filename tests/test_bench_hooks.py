@@ -50,7 +50,9 @@ def test_one_stage2_call_integrates_every_substep(monkeypatch):
 
     monkeypatch.setattr(splitting, "step2_integrate", spy)
     case = build_case(3, nx=8, ny=2)
-    splitting.run(case.system, case.initial_state(), splitting.StepConfig(0.01, 5), 1)
+    start = case.initial_state()
+    splitting.run(case.system, start, splitting.StepConfig(0.01, 5), 1,
+                  case.system.mass_products(start.velocities))
     assert calls == [5] * len(case.system.circuits)
 
 

@@ -1,12 +1,26 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
-from stokes0d.cli import RunConfig, main, parse_config
+from stokes0d.cli import _build_parser, main, parameters, parse_args
 
 COARSE = ["--nx", "16", "--ny", "4"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_config_roundtrip():
-    text = """# every key
+def _exit(argv):
+    """main's exit status, argparse's own exits included."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+def test_config_roundtrip(tmp_path):
+    # a config file parses to the namespace of the flags it stands for
+    path = tmp_path / "run.cfg"
+    path.write_text("""# every key
 example = 2
 nonlinear = true
 dt = 0.004
@@ -19,18 +33,73 @@ steps = 33
 dt_list = 0.01,0.002
 out = results
 set.R_b = 12.5
-"""
-    cfg = RunConfig(example=2, nonlinear=True, dt=0.004, sub=7, nx=40, ny=8,
-                    max_periods=4, eps_per=1e-7, steps=33,
-                    dt_list=(0.01, 0.002), overrides={"R_b": 12.5}, out="results")
-    assert parse_config(text) == cfg
+""")
+    flags = ["--example", "2", "--nonlinear", "--dt", "0.004", "--sub", "7",
+             "--nx", "40", "--ny", "8", "--max-periods", "4", "--eps-per", "1e-7",
+             "--steps", "33", "--dt-list", "0.01,0.002", "--out", "results",
+             "--set", "R_b=12.5"]
+    from_file = vars(parse_args(["simulate", "--config", str(path)]))
+    from_flags = vars(parse_args(["simulate", *flags]))
+    assert from_file.pop("config") and from_flags.pop("config") is None
+    assert from_file == from_flags == dict(
+        command="simulate", example=2, nonlinear=True, dt=0.004, sub=7, nx=40,
+        ny=8, max_periods=4, eps_per=1e-7, steps=33, dt_list=(0.01, 0.002),
+        out="results", overrides=[("R_b", 12.5)])
+    # flags win wherever they stand; a file's last line of a key wins
+    path.write_text("dt = 0.5\nnonlinear = true\nnonlinear = false\nset.R_b = 5\n")
+    args = parse_args(["simulate", "--dt", "0.25", "--set", "R_b=7",
+                       "--config", str(path)])
+    assert (args.dt, args.nonlinear, parameters(args).R_b) == (0.25, False, 7.0)
 
 
-def test_config_parse_errors():
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_config("bogus = 1\n")
-    with pytest.raises(ValueError, match="key = value"):
-        parse_config("just some text\n")
+def test_config_parse_errors(tmp_path, capsys):
+    # the keys are the run settings' flag names with "_", spelled out
+    path = tmp_path / "run.cfg"
+    for text, message in (("bogus = 1\n", "line 1: unknown key 'bogus'"),
+                          ("nx = 8\njust some text\n", "line 2: expected 'key = value'"),
+                          ("max-periods = 2\n", "unknown key 'max-periods'"),
+                          ("ste = 2\n", "unknown key 'ste'"),
+                          ("explicit_pi = true\n", "unknown key 'explicit_pi'")):
+        path.write_text(text)
+        assert _exit(["stability", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    missing = str(tmp_path / "none.cfg")
+    assert _exit(["stability", "--config", missing]) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and missing in err
+
+
+@pytest.mark.parametrize("line, flags, key", [
+    ("example = 4", ["--example", "4"], "example"),
+    ("nonlinear = ture", ["--nonlinear=ture"], "nonlinear"),
+    ("sub = 2.5", ["--sub", "2.5"], "sub"),
+    ("set.R_b = abc", ["--set", "R_b=abc"], "R_b"),
+    ("set.R_b", ["--set", "R_b"], "R_b"),
+])
+def test_bad_setting_exits_2_naming_its_key(tmp_path, capsys, line, flags, key):
+    # the same mistake as a config line and as a flag
+    path = tmp_path / "run.cfg"
+    path.write_text(f"nx = 8\nny = 2\nsteps = 1\ndt_list = 1\n{line}\n")
+    for argv in (["stability", "--config", str(path)],
+                 ["stability", "--nx", "8", "--ny", "2", "--steps", "1",
+                  "--dt-list", "1", *flags]):
+        assert _exit(argv) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == ""
+
+
+def test_readme_command_lines_parse():
+    # every `stokes0d ...` line of README's "Command line" section, with
+    # [...] unwrapped and the --example N placeholder set to 1, 2 and 3
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line.replace("[", "").replace("]", "") for line in section.splitlines()
+             if line.startswith("stokes0d ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        for n in ("1", "2", "3"):
+            argv = shlex.split(line.replace("--example N", f"--example {n}"))
+            assert parser.parse_args(argv[1:]).command == argv[1]
 
 
 def test_verify_oracle_all_examples(capsys):
@@ -162,15 +231,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
 def test_non_finite_override_rejected(tmp_path, capsys, value):
     for cmd in ("stability", "verify-oracle"):
-        rc = main([cmd, "--example", "1", *COARSE, "--set", f"R_b={value}"])
+        rc = _exit([cmd, "--example", "1", *COARSE, "--set", f"R_b={value}"])
         assert rc == 2
         assert "R_b" in capsys.readouterr().err
     path = tmp_path / "run.cfg"
     path.write_text(f"nx = 16\nny = 4\nset.R_b = {value}\n")
-    rc = main(["stability", "--config", str(path)])
+    rc = _exit(["stability", "--config", str(path)])
     assert rc == 2
     assert "R_b" in capsys.readouterr().err
 
