@@ -19,18 +19,19 @@ parser.add_argument("--csv", type=str, default=None,
 args = parser.parse_args()
 
 case = build_case(1, nonlinear=True, nx=args.nx, ny=args.ny)
-res = run_to_periodicity(case, args.dt, eps_per=1e-6, max_periods=10)
+res = run_to_periodicity(case, args.dt, eps_per=1e-6, max_periods=10,
+                         collect_series=False)
 print(f"dt={args.dt}: periodic after {res.periods} periods "
       f"(gap {res.final_gap:.2e})")
 
 iface = case.exact.interfaces[(1, 1, 1)]
-rows = res.series[-(res.n_tau + 1):]
-stride = max(1, len(rows) // 16)
+states = res.last_period
+stride = max(1, len(states) // 16)
 print(f"\n{'t':>6} {'P computed':>12} {'P exact':>12} {'Q computed':>12} {'Q exact':>12}")
-for row in rows[::stride]:
-    iv = row.interfaces[(1, 1, 1)]
-    print(f"{row.t:6.2f} {iv.P:12.4f} {float(iface.P(row.t)):12.4f} "
-          f"{iv.Q:12.4f} {float(iface.Q(row.t)):12.4f}")
+for state in states[::stride]:
+    iv = state.interfaces[(1, 1, 1)]
+    print(f"{state.t:6.2f} {iv.P:12.4f} {float(iface.P(state.t)):12.4f} "
+          f"{iv.Q:12.4f} {float(iface.Q(state.t)):12.4f}")
 
 pk = peak_errors(res, (1, 1, 1))
 print(f"\nrelative peak errors over the final period: "
@@ -41,8 +42,8 @@ print(f"errors over the final period: v {res.errors.err_v:.3e}, "
 if args.csv:
     with open(args.csv, "w") as f:
         f.write("t,P,P_exact,Q,Q_exact,pi\n")
-        for row in rows:
-            iv = row.interfaces[(1, 1, 1)]
-            f.write(f"{row.t},{iv.P},{float(iface.P(row.t))},"
-                    f"{iv.Q},{float(iface.Q(row.t))},{iv.pi}\n")
+        for state in states:
+            iv = state.interfaces[(1, 1, 1)]
+            f.write(f"{state.t},{iv.P},{float(iface.P(state.t))},"
+                    f"{iv.Q},{float(iface.Q(state.t))},{iv.pi}\n")
     print(f"final period written to {args.csv}")

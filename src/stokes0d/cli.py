@@ -26,7 +26,7 @@ WEAK_BAND = 0.5
 
 
 def float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v)
+    return tuple(float(v) for v in text.split(","))
 
 
 def override(item: str) -> tuple:
@@ -46,16 +46,16 @@ RUN_SETTINGS = {
     "max_periods": dict(type=int, default=10),
     "eps_per": dict(type=float, default=1e-6),
     "steps": dict(type=int, default=200, help="steps of each stability run"),
-    "dt_list": dict(type=float_list, default=(), help="comma-separated time steps"),
+    "dt_list": dict(type=float_list, help="comma-separated time steps"),
     "out": dict(default=""),
 }
 
 
-def _config_flags(path: str) -> list:
+def _config_flags(path: str, reads) -> list:
     """The flags a `key = value` file stands for: `key = value` is
     --key-with-hyphens=value, `set.NAME = V` is --set=NAME=V, and
     `nonlinear = true` is --nonlinear (`false`: no flag).  The last line
-    of a key wins."""
+    of a key wins; a key outside `reads` is an error."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as err:
@@ -66,20 +66,22 @@ def _config_flags(path: str) -> list:
         if not line or line.startswith("#"):
             continue
         key, eq, val = (part.strip() for part in line.partition("="))
-        where = f"{path} line {lineno}"
+        where, flag = f"{path} line {lineno}", f"--{key.replace('_', '-')}"
         if not eq:
             raise argparse.ArgumentTypeError(f"{where}: expected 'key = value', got {line!r}")
         if key.startswith("set."):
             flags[key] = [f"--set={key[4:]}={val}"]
+        elif key not in RUN_SETTINGS:
+            raise argparse.ArgumentTypeError(f"{where}: unknown key {key!r}")
+        elif key not in reads:
+            raise argparse.ArgumentTypeError(f"{where}: this command does not read {flag}")
         elif key == "nonlinear":
             if val not in ("true", "false"):
                 raise argparse.ArgumentTypeError(
                     f"{where}: nonlinear must be true or false, got {val!r}")
             flags[key] = ["--nonlinear"] if val == "true" else []
-        elif key in RUN_SETTINGS:
-            flags[key] = [f"--{key.replace('_', '-')}={val}"]
         else:
-            raise argparse.ArgumentTypeError(f"{where}: unknown key {key!r}")
+            flags[key] = [f"{flag}={val}"]
     return [flag for group in flags.values() for flag in group]
 
 
@@ -97,15 +99,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _interface_label(iid) -> str:
-    return "_".join(str(i) for i in iid)
-
-
 def _write_series_csv(path: Path, result) -> None:
     iids = [c.interface_id for _, _, c in result.case.system.connections]
     cols = ["t"]
     for iid in iids:
-        lbl = _interface_label(iid)
+        lbl = "_".join(str(i) for i in iid)
         cols += [f"P_{lbl}", f"Q_{lbl}", f"pi_{lbl}"]
     for m, spec in enumerate(result.case.system.circuits):
         cols += [f"y{m}_{j}" for j in range(spec.dim)]
@@ -126,6 +124,7 @@ def _write_series_csv(path: Path, result) -> None:
 
 
 def _write_summary(path: Path, cfg, result) -> None:
+    e = result.series[0].energy
     lines = [
         "[run]",
         f"example = {cfg.example}",
@@ -138,12 +137,10 @@ def _write_summary(path: Path, cfg, result) -> None:
         f"final_gap = {_fmt(result.final_gap) if result.final_gap is not None else 'n/a'}",
         "",
         "[initial energies]",
+        f"E_omega = {_fmt(e.e_omega)}", f"E_ups = {_fmt(e.e_ups)}",
+        f"D_omega = {_fmt(e.d_omega)}", f"D_rc = {_fmt(e.d_rc)}",
+        f"U_ups = {_fmt(e.u_ups)}",
     ]
-    e = result.series[0].energy if result.series else None
-    if e is not None:
-        lines += [f"E_omega = {_fmt(e.e_omega)}", f"E_ups = {_fmt(e.e_ups)}",
-                  f"D_omega = {_fmt(e.d_omega)}", f"D_rc = {_fmt(e.d_rc)}",
-                  f"U_ups = {_fmt(e.u_ups)}"]
     if result.gaps:
         lines += ["", "[periodicity gaps]"]
         lines += [f"period {p} = {_fmt(g)}" for p, g in sorted(result.gaps.items())]
@@ -180,7 +177,6 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_convergence(cfg) -> int:
-    dts = cfg.dt_list if cfg.dt_list else (cfg.dt,)
     peaks = {}
 
     def on_result(dt, res):
@@ -190,9 +186,8 @@ def cmd_convergence(cfg) -> int:
     study = convergence_study(
         lambda: build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
                            ny=cfg.ny, params=parameters(cfg)),
-        dts, eps_per=cfg.eps_per, max_periods=cfg.max_periods,
-        s_sub=substeps(cfg), collect_series=cfg.example == 1,
-        on_result=on_result)
+        cfg.dt_list, eps_per=cfg.eps_per, max_periods=cfg.max_periods,
+        s_sub=substeps(cfg), on_result=on_result)
 
     lines = ["[convergence]", f"example = {cfg.example}",
              f"nonlinear = {str(cfg.nonlinear).lower()}", "",
@@ -215,8 +210,7 @@ def cmd_convergence(cfg) -> int:
 
 
 def cmd_stability(cfg) -> int:
-    dts = cfg.dt_list if cfg.dt_list else STABILITY_DTS
-    for dt in dts:      # every dt before any run, not one sweep at a time
+    for dt in cfg.dt_list:      # every dt before any run, not one sweep at a time
         check_positive("dt", dt)
     if cfg.steps < 1:
         raise ValueError(f"steps must be >= 1, got steps={cfg.steps}")
@@ -227,7 +221,7 @@ def cmd_stability(cfg) -> int:
              f"explicit_pi = {str(cfg.explicit_pi).lower()}", "",
              "dt,E0,max_increase,chain_violation,identity_residual,verdict"]
     ok = True
-    for dt in dts:
+    for dt in cfg.dt_list:
         rep = stability_run(case, dt, cfg.steps, s_sub=s_sub,
                             explicit_pi=cfg.explicit_pi)
         passed = rep.passed()
@@ -273,21 +267,30 @@ def cmd_verify_oracle(cfg) -> int:
     return 0 if ok else 1
 
 
-COMMANDS = {"simulate": cmd_simulate, "convergence": cmd_convergence,
-            "stability": cmd_stability, "verify-oracle": cmd_verify_oracle}
+# command: (function, the run settings it reads as flags, its own defaults)
+COMMANDS = {
+    "simulate": (cmd_simulate, ("example", "nonlinear", "dt", "sub", "nx", "ny", "max_periods",
+                                "eps_per", "out"), {}),
+    "convergence": (cmd_convergence, ("example", "nonlinear", "dt_list", "sub", "nx", "ny",
+                                      "max_periods", "eps_per", "out"), {"dt_list": (0.01,)}),
+    "stability": (cmd_stability, ("example", "dt_list", "sub", "nx", "ny", "steps", "out"),
+                  {"dt_list": STABILITY_DTS}),
+    "verify-oracle": (cmd_verify_oracle, ("example", "nonlinear", "nx", "ny", "out"), {}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="stokes0d",
+        prog="stokes0d", allow_abbrev=False,
         description="Coupled Stokes / lumped-circuit benchmark driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=_config_flags, default=None,
+    for name, (_, reads, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", type=lambda path, reads=reads: _config_flags(path, reads),
                        help="key = value file; flags override it")
-        for key, kwargs in RUN_SETTINGS.items():
-            p.add_argument(f"--{key.replace('_', '-')}", **kwargs)
+        for key in reads:
+            p.add_argument(f"--{key.replace('_', '-')}", **RUN_SETTINGS[key])
+        p.set_defaults(**defaults)
         p.add_argument("--set", dest="overrides", type=override, action="append",
                        default=[], metavar="KEY=VALUE", help="parameter override")
         if name == "stability":
@@ -310,7 +313,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -229,9 +229,8 @@ class ConvergenceResult:
         return [(dt, getattr(err, key)) for dt, err, _, _ in self.rows]
 
 
-def convergence_study(case_builder, dt_list, eps_per: float = 1e-6,
-                      max_periods: int = 10, s_sub: int | None = None,
-                      collect_series: bool = False, on_result=None) -> ConvergenceResult:
+def convergence_study(case_builder, dt_list, eps_per: float = 1e-6, max_periods: int = 10,
+                      s_sub: int | None = None, on_result=None) -> ConvergenceResult:
     """Run simulate-to-periodicity for each dt and fit log-log slopes.
 
     `case_builder()` must return a fresh Case (runs are independent); the
@@ -254,8 +253,7 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6,
         if k:
             case = case_builder()
         res = run_to_periodicity(case, dt, s_sub=s_sub, eps_per=eps_per,
-                                 max_periods=max_periods,
-                                 collect_series=collect_series)
+                                 max_periods=max_periods, collect_series=False)
         if not res.converged:
             raise RuntimeError(f"no periodicity within {max_periods} periods "
                                f"at dt={dt} (last gap {res.final_gap})")
@@ -273,17 +271,15 @@ def peak_errors(result: SimulateResult, interface_id) -> dict:
     """Relative peak errors of P and Q over the last recorded period.
 
     peak error = max_n |x^n - x_ex(t^n)| / max_n |x_ex(t^n)|, maximum over
-    the series rows of the final period.
+    the N_tau + 1 states of `result.last_period`.
     """
-    if not result.converged or not result.series:
-        raise ValueError("needs a converged run with a recorded series")
-    n_tau = result.n_tau
-    rows = result.series[-(n_tau + 1):]
+    if not result.converged:
+        raise ValueError("needs a converged run")
     ie = result.case.exact.interfaces[interface_id]
     p_num = q_num = p_den = q_den = 0.0
-    for row in rows:
-        vals = row.interfaces[interface_id]
-        pex, qex = float(ie.P(row.t)), float(ie.Q(row.t))
+    for state in result.last_period:
+        vals = state.interfaces[interface_id]
+        pex, qex = float(ie.P(state.t)), float(ie.Q(state.t))
         p_num = max(p_num, abs(vals.P - pex))
         q_num = max(q_num, abs(vals.Q - qex))
         p_den = max(p_den, abs(pex))

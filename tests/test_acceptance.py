@@ -38,8 +38,7 @@ def convergence_results():
         study = convergence_study(
             lambda example=example, nonlinear=nonlinear: build_case(
                 example, nonlinear=nonlinear, nx=100, ny=20),
-            DTS, eps_per=1e-6, max_periods=10,
-            collect_series=example == 1, on_result=on_result)
+            DTS, eps_per=1e-6, max_periods=10, on_result=on_result)
         out[example] = (study, peaks)
     return out
 

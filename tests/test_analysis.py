@@ -5,8 +5,8 @@ import pytest
 
 from stokes0d import (CoupledState, Example1Params, StepConfig, build_case,
                       convergence_rate, convergence_study, error_norms,
-                      example1_circuit, params_for, periods_per_tau, run,
-                      run_to_periodicity, stability_run)
+                      example1_circuit, params_for, peak_errors, periods_per_tau,
+                      run, run_to_periodicity, stability_run)
 from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.circuits import energy
 
@@ -225,6 +225,33 @@ def test_streaming_gap_matches_module_function():
     for p in (2, 3):
         ref = periodicity_gap(case.system, states[:p * n_per + 1], n_per)
         assert abs(res.gaps[p] - ref) <= 1e-12 * max(ref, 1e-30)
+
+
+def series_peak_errors(result, interface_id) -> dict:
+    """Relative peak errors of P and Q over the last N_tau + 1 series rows:
+    the oracle for `peak_errors`, which reads the last period's states."""
+    rows = result.series[-(result.n_tau + 1):]
+    ie = result.case.exact.interfaces[interface_id]
+    p_num = q_num = p_den = q_den = 0.0
+    for row in rows:
+        vals = row.interfaces[interface_id]
+        pex, qex = float(ie.P(row.t)), float(ie.Q(row.t))
+        p_num = max(p_num, abs(vals.P - pex))
+        q_num = max(q_num, abs(vals.Q - qex))
+        p_den = max(p_den, abs(pex))
+        q_den = max(q_den, abs(qex))
+    return {"P": p_num / p_den, "Q": q_num / q_den}
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_peak_errors_need_no_series(nonlinear):
+    case = coarse_case(nonlinear=nonlinear)
+    with_series = run_to_periodicity(case, 0.05)
+    bare = run_to_periodicity(case, 0.05, collect_series=False)
+    assert with_series.converged and bare.converged and bare.series == []
+    want = series_peak_errors(with_series, (1, 1, 1))
+    got = peak_errors(bare, (1, 1, 1))
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 def test_run_to_periodicity_max_periods_zero():

@@ -1,12 +1,24 @@
+import argparse
 import shlex
 from pathlib import Path
 
 import pytest
 
-from stokes0d.cli import _build_parser, main, parameters, parse_args
+from stokes0d.cli import RUN_SETTINGS, _build_parser, main, parameters, parse_args
 
 COARSE = ["--nx", "16", "--ny", "4"]
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the run settings each command reads; every command also takes --config
+# and --set, and stability --explicit-pi
+READS = {
+    "simulate": ("example", "nonlinear", "dt", "sub", "nx", "ny", "max_periods",
+                 "eps_per", "out"),
+    "convergence": ("example", "nonlinear", "dt_list", "sub", "nx", "ny", "max_periods",
+                    "eps_per", "out"),
+    "stability": ("example", "dt_list", "sub", "nx", "ny", "steps", "out"),
+    "verify-oracle": ("example", "nonlinear", "nx", "ny", "out"),
+}
 
 
 def _exit(argv):
@@ -17,34 +29,34 @@ def _exit(argv):
         return stop.code
 
 
+# a value for each run setting: its text in a file or on a flag, and its value
+SETTING_VALUES = {
+    "example": ("2", 2), "nonlinear": ("true", True), "dt": ("0.004", 0.004),
+    "sub": ("7", 7), "nx": ("40", 40), "ny": ("8", 8), "max_periods": ("4", 4),
+    "eps_per": ("1e-7", 1e-7), "steps": ("33", 33),
+    "dt_list": ("0.01,0.002", (0.01, 0.002)), "out": ("results", "results"),
+}
+
+
 def test_config_roundtrip(tmp_path):
-    # a config file parses to the namespace of the flags it stands for
+    # for each command, a config file with every key the command reads
+    # parses to the namespace of the flags it stands for
     path = tmp_path / "run.cfg"
-    path.write_text("""# every key
-example = 2
-nonlinear = true
-dt = 0.004
-sub = 7
-nx = 40
-ny = 8
-max_periods = 4
-eps_per = 1e-7
-steps = 33
-dt_list = 0.01,0.002
-out = results
-set.R_b = 12.5
-""")
-    flags = ["--example", "2", "--nonlinear", "--dt", "0.004", "--sub", "7",
-             "--nx", "40", "--ny", "8", "--max-periods", "4", "--eps-per", "1e-7",
-             "--steps", "33", "--dt-list", "0.01,0.002", "--out", "results",
-             "--set", "R_b=12.5"]
-    from_file = vars(parse_args(["simulate", "--config", str(path)]))
-    from_flags = vars(parse_args(["simulate", *flags]))
-    assert from_file.pop("config") and from_flags.pop("config") is None
-    assert from_file == from_flags == dict(
-        command="simulate", example=2, nonlinear=True, dt=0.004, sub=7, nx=40,
-        ny=8, max_periods=4, eps_per=1e-7, steps=33, dt_list=(0.01, 0.002),
-        out="results", overrides=[("R_b", 12.5)])
+    for command, keys in READS.items():
+        path.write_text("# every key\n" + "".join(
+            f"{key} = {SETTING_VALUES[key][0]}\n" for key in keys) + "set.R_b = 12.5\n")
+        flags = []
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            flags += [flag] if key == "nonlinear" else [flag, SETTING_VALUES[key][0]]
+        from_file = vars(parse_args([command, "--config", str(path)]))
+        from_flags = vars(parse_args([command, *flags, "--set", "R_b=12.5"]))
+        assert from_file.pop("config") and from_flags.pop("config") is None
+        want = dict(command=command, overrides=[("R_b", 12.5)],
+                    **{key: SETTING_VALUES[key][1] for key in keys})
+        if command == "stability":
+            want["explicit_pi"] = False
+        assert from_file == from_flags == want, command
     # flags win wherever they stand; a file's last line of a key wins
     path.write_text("dt = 0.5\nnonlinear = true\nnonlinear = false\nset.R_b = 5\n")
     args = parse_args(["simulate", "--dt", "0.25", "--set", "R_b=7",
@@ -59,7 +71,10 @@ def test_config_parse_errors(tmp_path, capsys):
                           ("nx = 8\njust some text\n", "line 2: expected 'key = value'"),
                           ("max-periods = 2\n", "unknown key 'max-periods'"),
                           ("ste = 2\n", "unknown key 'ste'"),
-                          ("explicit_pi = true\n", "unknown key 'explicit_pi'")):
+                          ("explicit_pi = true\n", "unknown key 'explicit_pi'"),
+                          # false stands for no flag, yet stability reads no nonlinear
+                          ("nonlinear = false\n",
+                           "line 1: this command does not read --nonlinear")):
         path.write_text(text)
         assert _exit(["stability", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
@@ -77,15 +92,23 @@ def test_config_parse_errors(tmp_path, capsys):
     ("set.R_b", ["--set", "R_b"], "R_b"),
 ])
 def test_bad_setting_exits_2_naming_its_key(tmp_path, capsys, line, flags, key):
-    # the same mistake as a config line and as a flag
+    # the same mistake as a config line and as a flag, to simulate, which
+    # reads every one of these keys
     path = tmp_path / "run.cfg"
-    path.write_text(f"nx = 8\nny = 2\nsteps = 1\ndt_list = 1\n{line}\n")
-    for argv in (["stability", "--config", str(path)],
-                 ["stability", "--nx", "8", "--ny", "2", "--steps", "1",
-                  "--dt-list", "1", *flags]):
+    out = tmp_path / "run"
+    path.write_text(f"nx = 8\nny = 2\nmax_periods = 0\nout = {out}\n{line}\n")
+    for argv in (["simulate", "--config", str(path)],
+                 ["simulate", "--nx", "8", "--ny", "2", "--max-periods", "0",
+                  "--out", str(out), *flags]):
         assert _exit(argv) == 2
         captured = capsys.readouterr()
         assert key in captured.err and captured.out == ""
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def test_readme_command_lines_parse():
@@ -100,6 +123,78 @@ def test_readme_command_lines_parse():
         for n in ("1", "2", "3"):
             argv = shlex.split(line.replace("--example N", f"--example {n}"))
             assert parser.parse_args(argv[1:]).command == argv[1]
+    # the section's table of flags: a command has exactly the flags whose
+    # cell is not "—"; a `value` cell is its default, "off" an unset switch
+    table = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| ")]
+    header, rows = table[0], table[1:]
+    assert rows and header[1:] == list(READS)
+    for column, (name, sub) in enumerate(_subparsers(parser).items(), 1):
+        actions = {opt: a for a in sub._actions for opt in a.option_strings}
+        listed = {row[0].strip("`") for row in rows if row[column] != "—"}
+        assert listed == actions.keys() - {"-h", "--help"}, name
+        for row in rows:
+            flag, cell = row[0].strip("`"), row[column]
+            if cell.startswith("`"):
+                action = actions[flag]
+                convert = action.type or str
+                assert convert(cell.strip("`")) == sub.get_default(action.dest), (name, flag)
+            elif cell == "off":
+                assert sub.get_default(actions[flag].dest) is False, (name, flag)
+
+
+def test_each_command_has_exactly_its_flags():
+    # 39 settable values in all: the flags of the settings a command reads,
+    # --config, --set and stability's --explicit-pi
+    options = {name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+               for name, sub in _subparsers(_build_parser()).items()}
+    assert options == {
+        name: {"--" + key.replace("_", "-") for key in keys} | {"--config", "--set"}
+        | ({"--explicit-pi"} if name == "stability" else set())
+        for name, keys in READS.items()}
+    assert sum(map(len, options.values())) == 39
+
+
+# the (command, flag, value) of every flag a command no longer takes, and two
+# abbreviations that argparse would otherwise take for a longer flag
+NOT_READ = [
+    ("simulate", "--steps", "5"), ("simulate", "--dt-list", "0.1"),
+    ("convergence", "--dt", "0.05"), ("convergence", "--steps", "5"),
+    ("stability", "--nonlinear", None), ("stability", "--dt", "0.5"),
+    ("stability", "--max-periods", "2"), ("stability", "--eps-per", "1e-3"),
+    ("verify-oracle", "--dt", "0.05"), ("verify-oracle", "--sub", "2"),
+    ("verify-oracle", "--max-periods", "2"), ("verify-oracle", "--eps-per", "1e-3"),
+    ("verify-oracle", "--steps", "5"), ("verify-oracle", "--dt-list", "0.1"),
+]
+ABBREVIATED = [("simulate", "--max", "0"), ("stability", "--ste", "3")]
+
+
+@pytest.mark.parametrize("command, flag, value", NOT_READ + ABBREVIATED)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag, value):
+    # as a flag and as a config key, which stands for that flag
+    key = flag[2:].replace("-", "_")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"nx = 8\nny = 2\n{key} = {value or 'true'}\n")
+    base = [command, "--nx", "8", "--ny", "2", "--out", str(tmp_path / "run")]
+    for argv, named in ((base + [flag] + ([value] if value else []),
+                         f"unrecognized arguments: {flag}"),
+                        (base + ["--config", str(path)],
+                         f"line 3: this command does not read {flag}" if key in RUN_SETTINGS
+                         else f"line 3: unknown key {key!r}")):
+        assert _exit(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["convergence", "stability"])
+@pytest.mark.parametrize("dt_list", ["", "0.1,,1"])
+def test_every_dt_list_entry_must_parse(tmp_path, capsys, command, dt_list):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"dt_list = {dt_list}\n")
+    for extra in (["--dt-list", dt_list], ["--config", str(path)]):
+        assert _exit([command, "--nx", "8", "--ny", "2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "argument --dt-list: invalid" in captured.err and captured.out == ""
 
 
 def test_verify_oracle_all_examples(capsys):
@@ -186,7 +281,7 @@ def test_simulate_nonconvergence_exit_code(tmp_path):
 
 
 def test_convergence_single_dt_no_slope(tmp_path, capsys):
-    rc = main(["convergence", "--example", "1", "--dt", "0.05", *COARSE,
+    rc = main(["convergence", "--example", "1", "--dt-list", "0.05", *COARSE,
                "--max-periods", "8", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
@@ -209,26 +304,41 @@ def test_convergence_two_dts_slope(capsys):
     assert 0.5 <= float(v_line.split("=")[1]) <= 1.5
 
 
-def test_stability_pass_and_explicit_control(capsys):
-    rc = main(["stability", "--example", "1", "--dt-list", "0.1,1,10",
-               "--steps", "30", *COARSE])
+@pytest.mark.parametrize("example", ["1", "2", "3"])
+def test_stability_pass_and_explicit_control(capsys, example):
+    # the splitting scheme passes at every dt; the negative control, which
+    # lags the node pressures in stage 1, breaks the energy chain at every dt
+    # and, from dt = 1 on, by more than the initial energy
+    argv = ["stability", "--example", example, "--dt-list", "0.1,1,10",
+            "--steps", "30", *COARSE]
+    rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 0
     assert "overall = PASS" in out
 
-    rc = main(["stability", "--example", "1", "--dt-list", "10",
-               "--steps", "30", *COARSE, "--explicit-pi"])
+    rc = main([*argv, "--explicit-pi"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "overall = FAIL" in out
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    assert [row[0] for row in rows] == ["0.1", "1.0", "10.0"]
+    for dt, e0, _, chain, _, verdict in rows:
+        assert verdict == "FAIL" and float(chain) > 1e-12 * float(e0)
+        assert float(dt) < 1 or float(chain) > float(e0)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text("example = 1\ndt = 0.05\nnx = 16\nny = 4\nmax_periods = 8\n")
+    path.write_text("example = 1\nnx = 16\nny = 4\n")
     rc = main(["verify-oracle", "--config", str(path), "--example", "3"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+    # a key verify-oracle does not read stops it, not only the flag
+    path.write_text("example = 1\ndt = 0.05\nnx = 16\nny = 4\n")
+    assert _exit(["verify-oracle", "--config", str(path), "--example", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "line 2: this command does not read --dt" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
