@@ -13,7 +13,7 @@ from .params import Example1Params, Example2Params, Example3Params, params_for
 from .mesh import (RectDomain, TriangleMesh, BoundaryTag, TagKind,
                    build_rect_mesh, wall, external, interface)
 from .fem import (StokesSpace, AssembledOperators, build_space,
-                  assemble_operators, assemble_body_force, TimeSeparableLoad,
+                  assemble_operators, assemble_body_force, TimeSeparable,
                   interpolate_velocity, interpolate_pressure)
 from .sparse import factorize, SingularMatrixError
 from .circuits import (Connection, CircuitSpec, eval_B, step2_integrate,

@@ -14,11 +14,12 @@ mass products M v that are formed once per state and handed on in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .circuits import energy, eval_B
-from .fem import interpolate_pressure, interpolate_velocity, separable_sum
+from .fem import TimeSeparable, interpolate_pressure, interpolate_velocity
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,17 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
     states, U evaluated at the respective state.
     """
     times = np.array([state.t for state in states])
-    fields = [(_interpolants(dex.velocity_terms, interpolate_velocity, dom, times),
-               _interpolants(dex.pressure_terms, interpolate_pressure, dom, times))
+    # each profile interpolated once and each coefficient evaluated once on
+    # all the times: the same values as interpolating time by time
+    fields = [[(f, f.coefficients(times)) for f in (
+                  TimeSeparable(dex.velocity, partial(interpolate_velocity, dom.space)),
+                  TimeSeparable(dex.pressure, partial(interpolate_pressure, dom.space)))]
               for dom, dex in zip(system.domains, exact.domains)]
     sum_v = sum_p = sum_y = 0.0
     for n, state in enumerate(states):
         t = state.t
         for l, dom in enumerate(system.domains):
-            uex, pex = (at(n) for at in fields[l])
+            uex, pex = (f.vector(c[n]) for f, c in fields[l])
             du = state.velocities[l] - uex
             dp = state.pressures[l] - pex
             den_v = float(uex @ (dom.ops.M @ uex))
@@ -163,16 +167,6 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
                 raise ZeroDivisionError(f"exact state norm vanishes at t={t}")
             sum_y += float(dy @ dy) / den_y
     return ErrorReport(np.sqrt(dt * sum_v), np.sqrt(dt * sum_p), np.sqrt(dt * sum_y))
-
-
-def _interpolants(terms, interpolate, dom, times):
-    """n -> nodal interpolant of the exact field sum_j c_j(t) g_j at times[n]:
-    each profile g_j is interpolated once and each c_j evaluated once on all
-    the times, the same values as interpolating the field time by time."""
-    profiles = [interpolate(dom.space, dom.mesh, lambda x, t, g=g: g(x), None)
-                for _, g in terms]
-    coefficients = [c(times) for c, _ in terms]
-    return lambda n: separable_sum([c[n] for c in coefficients], profiles)
 
 
 def convergence_rate(errors) -> float:

@@ -12,11 +12,12 @@ Geometry of the channels (walls top and bottom in all cases):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import circuits as circ
 from . import mesh as msh
 from .exact import ExactSolutionSet, exact_for
-from .fem import (TimeSeparableLoad, assemble_operators, build_space,
+from .fem import (TimeSeparable, assemble_body_force, assemble_operators, build_space,
                   interpolate_pressure, interpolate_velocity)
 from .params import params_for
 from .splitting import CoupledState, CoupledSystem, Domain, InterfaceValues
@@ -45,6 +46,12 @@ def _layouts(example: int):
     raise ValueError(f"example must be 1, 2 or 3, got {example}")
 
 
+def TimeSeparableLoad(space, terms) -> TimeSeparable:
+    """The body load sum_j c_j(t) F_j of force terms (c_j, g_j), each F_j
+    assembled once from its profile g_j."""
+    return TimeSeparable(terms, partial(assemble_body_force, space))
+
+
 def _circuit(example, p, exact: ExactSolutionSet, zero_forcing: bool, nonlinear: bool):
     gen = (lambda name: None) if zero_forcing else exact.generators.get
     if example == 1:
@@ -70,9 +77,9 @@ class Case:
     def initial_state(self) -> CoupledState:
         """Exact solution at t = 0 (also used for the unforced stability runs)."""
         vels, prs = [], []
-        for dom, dex in zip(self.system.domains, self.exact.domains):
-            vels.append(interpolate_velocity(dom.space, dom.mesh, dex.velocity, 0.0))
-            prs.append(interpolate_pressure(dom.space, dom.mesh, dex.pressure, 0.0))
+        for d, dex in zip(self.system.domains, self.exact.domains):
+            vels.append(TimeSeparable(dex.velocity, partial(interpolate_velocity, d.space))(0.0))
+            prs.append(TimeSeparable(dex.pressure, partial(interpolate_pressure, d.space))(0.0))
         ys = [self.exact.y(0.0)]
         ifs = {iid: InterfaceValues(float(ie.P(0.0)), float(ie.Q(0.0)), float(ie.pi(0.0)))
                for iid, ie in self.exact.interfaces.items()}
@@ -98,15 +105,15 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
     for layout, dex in zip(_layouts(example), exact.domains):
         mesh = msh.build_rect_mesh(msh.RectDomain(p.L, p.H), nx, ny, layout)
         space = build_space(mesh)
-        ops = assemble_operators(space, mesh)
+        ops = assemble_operators(space)
         if zero_forcing:
             body_load, pbar = None, None
         else:
             rho = p.rho
-            terms = [(lambda t, c=c: rho * c(t), g) for c, g in dex.force_terms]
-            body_load = TimeSeparableLoad(space, mesh, terms)
+            terms = [(lambda t, c=c: rho * c(t), g) for c, g in dex.force]
+            body_load = TimeSeparableLoad(space, terms)
             pbar = dex.pbar
-        domains.append(Domain(mesh, space, ops, p.rho, p.mu, body_load, pbar))
+        domains.append(Domain(space, ops, p.rho, p.mu, body_load, pbar))
 
     circuit = _circuit(example, p, exact, zero_forcing, nonlinear)
     system = CoupledSystem(domains, [circuit])

@@ -192,7 +192,7 @@ def cmd_convergence(cfg) -> int:
     lines = ["[convergence]", f"example = {cfg.example}",
              f"nonlinear = {str(cfg.nonlinear).lower()}", "",
              "[errors]", "dt,err_v,err_p,err_y,periods"]
-    for dt, err, periods, _ in study.rows:
+    for dt, err, periods in study.rows:
         lines.append(f"{_fmt(dt)},{_fmt(err.err_v)},{_fmt(err.err_p)},"
                      f"{_fmt(err.err_y)},{periods}")
     if study.slopes:

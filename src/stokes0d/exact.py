@@ -4,8 +4,10 @@ Each benchmark admits a manufactured solution built from a periodic drive
 s(t) = s0 + s1 sin(omega t), a flat channel profile V0 cos^2(pi x2 / H) and
 an exponential pressure profile a0 + a1 exp(-k x1), with the circuit states
 and generator signals chosen so that the coupled equations hold exactly.
-All time derivatives are coded analytically; these evaluators provide
-initial data, error references and the forcing terms that drive the solver.
+All time derivatives are coded analytically.  Each flow field is a tuple of
+terms (c(t), g(points)), time coefficients times fixed profiles; time
+enters only through `fem.TimeSeparable`, which evaluates them as initial
+data, error references and the forcing terms that drive the solver.
 
 Geometry note: in the two-domain benchmark the second channel has its
 interface on the left side (x1 = 0) and its external side on the right
@@ -17,41 +19,28 @@ circuit equations cannot be satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .params import Example1Params, Example2Params, Example3Params
 from . import circuits as circ
-from .fem import (assemble_body_force, interpolate_pressure, interpolate_velocity,
-                  separable_sum)
+from .fem import (TimeSeparable, assemble_body_force, interpolate_pressure,
+                  interpolate_velocity)
 
 
 @dataclass(frozen=True)
 class DomainExact:
-    velocity_terms: tuple       # ((c(t), g(points) -> (N, 2)), ...)
-    pressure_terms: tuple       # ((c(t), g(points) -> (N,)), ...)
-    dv_dt: Callable             # (points, t) -> (N, 2)
-    force_terms: tuple          # ((c(t), g(points)), ...), force per unit mass
+    velocity: tuple             # ((c(t), g(points) -> (N, 2)), ...)
+    pressure: tuple             # ((c(t), g(points) -> (N,)), ...)
+    dv_dt: tuple                # ((c(t), g(points) -> (N, 2)), ...)
+    force: tuple                # ((c(t), g(points) -> (N, 2)), ...), per unit mass
     pbar: Optional[Callable]    # t -> external pressure, None without a Neumann side
     # each field is sum_j c_j(t) g_j(points).  The c and pbar broadcast: on an
     # array of times they return an array of its shape, each entry equal
     # bitwise to the value at that time alone, so a run or an error norm
     # evaluates them once for many times
-
-    @staticmethod
-    def _field(terms, points, t):
-        return separable_sum([c(t) for c, _ in terms],
-                             [np.asarray(g(points)) for _, g in terms])
-
-    def velocity(self, points, t):
-        return self._field(self.velocity_terms, points, t)
-
-    def pressure(self, points, t):
-        return self._field(self.pressure_terms, points, t)
-
-    def force(self, points, t):
-        return self._field(self.force_terms, points, t)
 
 
 @dataclass(frozen=True)
@@ -94,12 +83,11 @@ def _channel_fields(p, s, ds, a0, a1):
     """Velocity s(t) [V, 0], pressure s(t) Pr, their momentum source."""
     V, Vpp, Pr, dPr = _profile_fields(p, a0, a1)
     g1 = lambda x: np.column_stack([V(x[:, 1]), np.zeros(len(x))])
-    dv_dt = lambda x, t: np.column_stack([ds(t) * V(x[:, 1]), np.zeros(len(x))])
     # f = [ds V - (mu/rho) s V'' + (s/rho) P', 0]; grouped as two separable terms
     g2 = lambda x: np.column_stack(
         [-(p.mu / p.rho) * Vpp(x[:, 1]) + dPr(x[:, 0]) / p.rho, np.zeros(len(x))])
-    fields = dict(velocity_terms=((s, g1),), pressure_terms=((s, lambda x: Pr(x[:, 0])),),
-                  dv_dt=dv_dt, force_terms=((ds, g1), (s, g2)))
+    fields = dict(velocity=((s, g1),), pressure=((s, lambda x: Pr(x[:, 0])),),
+                  dv_dt=((ds, g1),), force=((ds, g1), (s, g2)))
     return fields, Pr
 
 
@@ -326,7 +314,7 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
     gx, gw = np.polynomial.legendre.leggauss(40)
     flux_res = 0.0
     for d, _, conn in system.connections:
-        mesh = system.domains[d].mesh
+        mesh = system.domains[d].space.mesh
         eids = mesh.edges_with_kind(TagKind.INTERFACE, conn.interface_id)
         x1 = float(mesh.vertices[mesh.edges[eids[0]][0], 0])
         nx = 1.0 if x1 > 0.5 * mesh.domain.length else -1.0
@@ -334,9 +322,9 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
         y_q = 0.5 * H * gx
         w_q = 0.5 * H * gw
         pts = np.column_stack([np.full_like(y_q, x1), y_q])
-        dex = exact.domains[d]
+        velocity = TimeSeparable(exact.domains[d].velocity, lambda g: g(pts))
         for t in times:
-            v = dex.velocity(pts, t)
+            v = velocity(t)
             q_quad = nx * float(v[:, 0] @ w_q)
             q_ref = float(exact.interfaces[conn.interface_id].Q(t))
             flux_res = max(flux_res, abs(q_quad - q_ref) / max(abs(q_ref), 1.0))
@@ -345,13 +333,16 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
     h = 0.0
     for di, (dom, dex) in enumerate(zip(system.domains, exact.domains)):
         space, ops = dom.space, dom.ops
-        h = max(h, float(np.sqrt(2.0 * np.max(np.abs(dom.mesh.signed_areas())))))
+        h = max(h, float(np.sqrt(2.0 * np.max(np.abs(space.mesh.signed_areas())))))
+        velocity = TimeSeparable(dex.velocity, partial(interpolate_velocity, space))
+        pressure = TimeSeparable(dex.pressure, partial(interpolate_pressure, space))
+        dv_dt = TimeSeparable(dex.dv_dt, partial(interpolate_velocity, space))
         for t in times[:: max(1, len(times) // 5)]:
-            u = interpolate_velocity(space, dom.mesh, dex.velocity, t)
-            pr = interpolate_pressure(space, dom.mesh, dex.pressure, t)
-            du = interpolate_velocity(space, dom.mesh, dex.dv_dt, t)
-            r = dom.rho * (ops.M @ du) + dom.mu * (ops.K @ u) - ops.D.T @ pr
-            load = dom.rho * assemble_body_force(space, dom.mesh, dex.force, t)
+            u = velocity(t)
+            r = dom.rho * (ops.M @ dv_dt(t)) + dom.mu * (ops.K @ u) - ops.D.T @ pressure(t)
+            # the force summed at the quadrature points, not the solver's load
+            force = lambda x: TimeSeparable(dex.force, lambda g: g(x))(t)
+            load = dom.rho * assemble_body_force(space, force)
             r -= load
             if dex.pbar is not None:
                 r += float(dex.pbar(t)) * ops.sigma

@@ -15,6 +15,8 @@ K uses the full velocity gradient, not the symmetric part: the boundary
 data is a pseudo-traction (-p I + mu grad v) n, and channel solutions with
 a flat profile satisfy it only in this form.  Dirichlet walls are enforced
 by eliminating the constrained rows/columns (wall data is homogeneous).
+The functions map functions of space to vectors; time enters only through
+`TimeSeparable`.
 """
 from __future__ import annotations
 
@@ -144,8 +146,9 @@ def _scatter(rows, cols, vals, shape):
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
-def assemble_operators(space: StokesSpace, mesh: TriangleMesh) -> AssembledOperators:
+def assemble_operators(space: StokesSpace) -> AssembledOperators:
     ns, nv, npr = space.n_scalar, space.n_velocity, space.n_pressure
+    mesh = space.mesh
     p, J, detJ, invJT = _element_geometry(mesh)
     sdof = _scalar_dofs(mesh)
 
@@ -187,17 +190,18 @@ def assemble_operators(space: StokesSpace, mesh: TriangleMesh) -> AssembledOpera
     flux = {}
     for iid in mesh.interface_ids():
         eids = mesh.edges_with_kind(TagKind.INTERFACE, iid)
-        flux[iid] = boundary_flux_vector(space, mesh, eids)
+        flux[iid] = boundary_flux_vector(space, eids)
     sigma_edges = mesh.edges_with_kind(TagKind.NEUMANN_EXTERNAL)
-    sigma = boundary_flux_vector(space, mesh, sigma_edges)
+    sigma = boundary_flux_vector(space, sigma_edges)
 
     return AssembledOperators(M, K, D, Mp, flux, sigma)
 
 
-def boundary_flux_vector(space: StokesSpace, mesh: TriangleMesh, edge_ids) -> np.ndarray:
+def boundary_flux_vector(space: StokesSpace, edge_ids) -> np.ndarray:
     """Functional u -> integral of u . n over the given boundary edges,
     with n the outward normal (rectangle domains: points away from center).
     """
+    mesh = space.mesh
     out = np.zeros(space.n_velocity)
     if len(edge_ids) == 0:
         return out
@@ -222,23 +226,22 @@ def boundary_flux_vector(space: StokesSpace, mesh: TriangleMesh, edge_ids) -> np
     return out
 
 
-def assemble_body_force(space: StokesSpace, mesh: TriangleMesh, f, t: float,
-                        rule=None) -> np.ndarray:
-    """Load vector with entries integral of f(x, t) . phi_i.
+def assemble_body_force(space: StokesSpace, f, rule=None) -> np.ndarray:
+    """Load vector with entries integral of f(x) . phi_i.
 
-    `f(points, t)` must accept an (N, 2) array of locations and return an
+    `f(points)` must accept an (N, 2) array of locations and return an
     (N, 2) array of force values.  The degree-6 rule keeps the quadrature
     error of the transcendental forcing terms far below the discretization
     error; `rule` (points, weights) replaces it (used by the quadrature
     cross-check).
     """
     q, w = rule if rule is not None else triangle_rule(6)
-    p, J, detJ, _ = _element_geometry(mesh)
+    p, J, detJ, _ = _element_geometry(space.mesh)
     phi = p2_basis(q)
     # physical quadrature points, (T, nq, 2)
     Xq = p[:, None, 0, :] + np.einsum("tab,qb->tqa", J, q)
-    fv = np.asarray(f(Xq.reshape(-1, 2), t), dtype=float).reshape(len(p), len(q), 2)
-    sdof = _scalar_dofs(mesh)
+    fv = np.asarray(f(Xq.reshape(-1, 2)), dtype=float).reshape(len(p), len(q), 2)
+    sdof = _scalar_dofs(space.mesh)
     out = np.zeros(space.n_velocity)
     for c in range(2):
         fe = np.einsum("tq,iq,q->ti", fv[:, :, c], phi, w) * detJ[:, None]
@@ -246,34 +249,17 @@ def assemble_body_force(space: StokesSpace, mesh: TriangleMesh, f, t: float,
     return out
 
 
-def separable_sum(coefficients, profiles):
-    """sum_j coefficients[j] * profiles[j], summed in order: the one way a
-    time-separable field is evaluated, so its values agree bitwise wherever
-    the same coefficients and profile values come from."""
-    (c, g), *rest = zip(coefficients, profiles)
-    out = c * g
-    for c, g in rest:
-        out = out + c * g
-    return out
-
-
-class TimeSeparableLoad:
-    """Load vector of the form sum_j c_j(t) * F_j with the F_j preassembled.
-
-    The manufactured forcings factor into time coefficients times fixed
-    spatial fields, so the per-step cost reduces to a few axpys.  Each
-    c_j broadcasts: on an array of times it returns an array of their
-    shape, each entry equal bitwise to c_j of that time alone, so the
-    coefficients of many steps come from one call.
+class TimeSeparable:
+    """A field sum_j c_j(t) g_j of time coefficients and profiles of space,
+    each g_j discretized once (point values, nodal interpolant or assembled
+    load), so a time's value costs a few axpys.  Each c_j broadcasts: on an
+    array of times it returns an array of their shape, each entry equal
+    bitwise to c_j of that time alone, so many times take one call.
     """
 
-    def __init__(self, space, mesh, terms):
-        # terms: iterable of (time_coefficient c(t), spatial field g(points))
+    def __init__(self, terms, discretize):
         self.coeffs = [c for c, _ in terms]
-        self.vectors = [
-            assemble_body_force(space, mesh, lambda x, t, g=g: g(x), 0.0)
-            for _, g in terms
-        ]
+        self.vectors = [discretize(g) for _, g in terms]
 
     def coefficients(self, t) -> np.ndarray:
         """c_j(t) of every term, shape np.shape(t) + (terms,)."""
@@ -281,29 +267,33 @@ class TimeSeparableLoad:
         for j, c in enumerate(self.coeffs):
             value = np.asarray(c(t), dtype=float)
             if value.shape != np.shape(t):
-                raise ValueError(f"load coefficient {j} of times shaped {np.shape(t)} "
+                raise ValueError(f"time coefficient {j} of times shaped {np.shape(t)} "
                                  f"has shape {value.shape}")
             out[..., j] = value
         return out
 
     def vector(self, coefficients) -> np.ndarray:
-        """The load sum_j coefficients[j] F_j of one time's coefficients."""
-        return separable_sum(coefficients, self.vectors)
+        """sum_j coefficients[j] g_j, discretized, for one time's coefficients,
+        summed in order, so values agree bitwise wherever the same
+        coefficients and profile values come from."""
+        (c, g), *rest = zip(coefficients, self.vectors)
+        out = c * g
+        for c, g in rest:
+            out = out + c * g
+        return out
 
     def __call__(self, t: float) -> np.ndarray:
         return self.vector(self.coefficients(t))
 
 
-def interpolate_velocity(space: StokesSpace, mesh: TriangleMesh, field, t: float) -> np.ndarray:
-    """Nodal interpolation at vertices and edge midpoints; field(points, t)
-    returns (N, 2)."""
-    vals = np.asarray(field(space.nodes, t), dtype=float)
+def interpolate_velocity(space: StokesSpace, g) -> np.ndarray:
+    """Nodal interpolant of g(points) -> (N, 2) at vertices and midpoints."""
+    vals = np.asarray(g(space.nodes), dtype=float)
     out = np.empty(space.n_velocity)
     out[:space.n_scalar] = vals[:, 0]
     out[space.n_scalar:] = vals[:, 1]
     return out
 
 
-def interpolate_pressure(space: StokesSpace, mesh: TriangleMesh, field, t: float) -> np.ndarray:
-    return np.asarray(field(mesh.vertices, t), dtype=float)
-
+def interpolate_pressure(space: StokesSpace, g) -> np.ndarray:
+    return np.asarray(g(space.mesh.vertices), dtype=float)

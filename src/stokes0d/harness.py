@@ -221,12 +221,12 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
 
 @dataclass
 class ConvergenceResult:
-    rows: list                  # (dt, ErrorReport, periods, converged)
+    rows: list                  # (dt, ErrorReport, periods)
     slopes: dict                # "v" / "p" / "y" -> fitted slope, when >= 2 rows
 
     def errors(self, which: str):
         key = {"v": "err_v", "p": "err_p", "y": "err_y"}[which]
-        return [(dt, getattr(err, key)) for dt, err, _, _ in self.rows]
+        return [(dt, getattr(err, key)) for dt, err, _ in self.rows]
 
 
 def convergence_study(case_builder, dt_list, eps_per: float = 1e-6, max_periods: int = 10,
@@ -257,7 +257,7 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6, max_periods:
         if not res.converged:
             raise RuntimeError(f"no periodicity within {max_periods} periods "
                                f"at dt={dt} (last gap {res.final_gap})")
-        rows.append((dt, res.errors, res.periods, res.converged))
+        rows.append((dt, res.errors, res.periods))
         if on_result is not None:
             on_result(dt, res)
     result = ConvergenceResult(rows, {})

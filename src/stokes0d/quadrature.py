@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 # Symmetric triangle rules, barycentric orbit data: (weight, orbit point).
-# Orbits: "center" (1 point), "s2" two equal coordinates (3 points),
-# "s1" all distinct (6 points).  Weights are area-normalized (sum to 1).
+# Orbits: "s2" two equal coordinates (3 points), "s1" all distinct (6 points).  Weights are area-normalized (sum to 1).
 _TRI_RULES = {
     2: [
         ("s2", 1.0 / 3.0, 0.5),
@@ -29,8 +28,6 @@ _TRI_RULES = {
 
 
 def _orbit_points(kind, value):
-    if kind == "center":
-        return [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
     if kind == "s2":
         a = value
         b = 1.0 - 2.0 * a

@@ -43,19 +43,17 @@ import scipy.sparse as sp
 
 from . import sparse
 from .circuits import step2_integrate
-from .fem import AssembledOperators, StokesSpace, TimeSeparableLoad
-from .mesh import TriangleMesh
+from .fem import AssembledOperators, StokesSpace, TimeSeparable
 
 
 @dataclass
 class Domain:
     """One flow region with its discretization and forcing data."""
-    mesh: TriangleMesh
     space: StokesSpace
     ops: AssembledOperators
     rho: float
     mu: float
-    body_load: Optional[TimeSeparableLoad] = None   # momentum load (rho-scaled), full dofs
+    body_load: Optional[TimeSeparable] = None   # momentum load (rho-scaled), full dofs
     pbar: Optional[Callable] = None   # t -> external pressure on the Neumann side,
                                       # shape np.shape(t) for an array t
 
@@ -117,7 +115,7 @@ class CoupledSystem:
             if owner != m + 1:
                 raise ValueError(f"connection {c.interface_id} is held by circuit {m + 1}")
         mesh_ids = {(d, iid) for d, dom in enumerate(self.domains)
-                    for iid in dom.mesh.interface_ids()}
+                    for iid in dom.space.mesh.interface_ids()}
         bound_ids = [(d, c.interface_id) for d, _, c in self.connections]
         if len(bound_ids) != len(set(bound_ids)):
             raise ValueError("an interface is connected more than once")

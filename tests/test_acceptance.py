@@ -121,13 +121,13 @@ def test_criterion_6_structural_invariants():
               "top": wall(), "bottom": wall()}
     mesh = build_rect_mesh(RectDomain(10.0, 2.0), 20, 4, layout)
     space = build_space(mesh)
-    ops = assemble_operators(space, mesh)
+    ops = assemble_operators(space)
     ok = True
     details = []
 
     # discrete divergence theorem
     rng = np.random.default_rng(0)
-    all_flux = boundary_flux_vector(space, mesh, list(mesh.boundary_edges))
+    all_flux = boundary_flux_vector(space, list(mesh.boundary_edges))
     u = rng.standard_normal(space.n_velocity)
     div_gap = abs(np.ones(space.n_pressure) @ (ops.D @ u) - all_flux @ u)
     ok = ok and div_gap <= 1e-12 * max(1.0, abs(all_flux @ u))

@@ -1,12 +1,14 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
-from stokes0d import (CoupledState, Example1Params, StepConfig, build_case,
+from stokes0d import (CoupledState, Example1Params, StepConfig, TimeSeparable, build_case,
                       convergence_rate, convergence_study, error_norms,
-                      example1_circuit, params_for, peak_errors, periods_per_tau,
-                      run, run_to_periodicity, stability_run)
+                      example1_circuit, interpolate_pressure, interpolate_velocity,
+                      params_for, peak_errors, periods_per_tau, run,
+                      run_to_periodicity, stability_run)
 from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.circuits import energy
 
@@ -19,6 +21,22 @@ def coarse_case(example=1, **kw):
 
 def full_energy_report(system, state):
     return energy_report(system, state, system.mass_products(state.velocities))
+
+
+def exact_states(case, times):
+    """States of a one-domain case holding the exact fields' nodal
+    interpolants and the exact circuit state at each of the times."""
+    dom, dex = case.system.domains[0], case.exact.domains[0]
+    velocity = TimeSeparable(dex.velocity, partial(interpolate_velocity, dom.space))
+    pressure = TimeSeparable(dex.pressure, partial(interpolate_pressure, dom.space))
+    states = []
+    for t in times:
+        st = case.initial_state()
+        st.velocities[0], st.pressures[0] = velocity(t), pressure(t)
+        st.ys[0] = case.exact.y(t)
+        st.t = t
+        states.append(st)
+    return states
 
 
 def test_energy_report_zero_state():
@@ -94,19 +112,7 @@ def test_periodicity_gap_exact_snapshots():
     case = coarse_case()
     n_per = 8
     dt = case.tau / n_per
-    states = []
-    for i in range(2 * n_per + 1):
-        st = case.initial_state()
-        t = i * dt
-        from stokes0d import interpolate_pressure, interpolate_velocity
-        dom = case.system.domains[0]
-        st.velocities[0] = interpolate_velocity(dom.space, dom.mesh,
-                                                case.exact.domains[0].velocity, t)
-        st.pressures[0] = interpolate_pressure(dom.space, dom.mesh,
-                                               case.exact.domains[0].pressure, t)
-        st.ys[0] = case.exact.y(t)
-        st.t = t
-        states.append(st)
+    states = exact_states(case, [i * dt for i in range(2 * n_per + 1)])
     assert periodicity_gap(case.system, states, n_per) <= 1e-12
 
 
@@ -122,19 +128,7 @@ def test_periodicity_gap_zero_reference_rejected():
 def test_error_norms_zero_for_exact_trajectory():
     case = coarse_case()
     dt = case.tau / 8
-    states = []
-    from stokes0d import interpolate_pressure, interpolate_velocity
-    dom = case.system.domains[0]
-    for i in range(9):
-        st = case.initial_state()
-        t = i * dt
-        st.velocities[0] = interpolate_velocity(dom.space, dom.mesh,
-                                                case.exact.domains[0].velocity, t)
-        st.pressures[0] = interpolate_pressure(dom.space, dom.mesh,
-                                               case.exact.domains[0].pressure, t)
-        st.ys[0] = case.exact.y(t)
-        st.t = t
-        states.append(st)
+    states = exact_states(case, [i * dt for i in range(9)])
     rep = error_norms(case.system, states, case.exact, dt)
     assert rep.err_v <= 1e-13 and rep.err_p <= 1e-13 and rep.err_y <= 1e-13
 
@@ -151,8 +145,8 @@ def test_error_norms_zero_for_exact_trajectory():
 def _scaled_exact(exact, c):
     def scaled(terms):
         return tuple((lambda t, a=a: c * a(t), g) for a, g in terms)
-    doms = tuple(dataclasses.replace(d, velocity_terms=scaled(d.velocity_terms),
-                                     pressure_terms=scaled(d.pressure_terms))
+    doms = tuple(dataclasses.replace(d, velocity=scaled(d.velocity),
+                                     pressure=scaled(d.pressure))
                  for d in exact.domains)
     return dataclasses.replace(exact, domains=doms)
 

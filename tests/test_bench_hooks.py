@@ -82,3 +82,31 @@ def test_drivers_call_run_through_the_splitting_module(monkeypatch):
     assert calls == [3]
     res = harness.run_to_periodicity(case, 0.5, max_periods=2, collect_series=False)
     assert calls == [3] + [res.n_tau] * res.periods and res.periods == 2
+
+
+def test_load_setup_is_one_call_per_forced_domain(monkeypatch):
+    # the benchmark times fem.load_setup as cases.TimeSeparableLoad, so each
+    # forced domain's load is built by one call there, an unforced case makes
+    # none, and nothing else in the package calls it
+    from stokes0d import cases
+    real = cases.TimeSeparableLoad
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cases, "TimeSeparableLoad", spy)
+    for example, n_domains in ((1, 1), (2, 2), (3, 1)):
+        built.clear()
+        case = build_case(example, nx=8, ny=2)
+        assert len(built) == n_domains
+        assert [dom.body_load for dom in case.system.domains] == built
+        built.clear()
+        build_case(example, nx=8, ny=2, zero_forcing=True)
+        assert built == []
+    package = Path(cases.__file__).parent
+    users = {path.name: path.read_text().count("TimeSeparableLoad")
+             for path in package.glob("*.py") if "TimeSeparableLoad" in path.read_text()}
+    assert users == {"cases.py": 2}   # its definition and the call in build_case
+    assert "TimeSeparableLoad(" in inspect.getsource(cases.build_case)

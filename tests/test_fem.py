@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from stokes0d import (RectDomain, assemble_body_force, assemble_operators,
+from stokes0d import (RectDomain, TimeSeparable, assemble_body_force, assemble_operators,
                       build_rect_mesh, build_space, exact_for, external,
                       interface, interpolate_pressure, interpolate_velocity, wall)
 from stokes0d.fem import boundary_flux_vector
@@ -16,7 +18,7 @@ def channel_layout():
 def make(nx, ny, L=10.0, H=2.0):
     mesh = build_rect_mesh(RectDomain(L, H), nx, ny, channel_layout())
     space = build_space(mesh)
-    return mesh, space, assemble_operators(space, mesh)
+    return mesh, space, assemble_operators(space)
 
 
 # reference-triangle monomial integral: x^i y^j -> i! j! / (i+j+2)!
@@ -100,8 +102,8 @@ def test_mass_stiffness_symmetry_and_definiteness():
 
 def test_interface_flux_of_constant_field():
     mesh, space, ops = make(4, 4)
-    u = interpolate_velocity(space, mesh, lambda x, t: np.column_stack(
-        [np.ones(len(x)), np.zeros(len(x))]), 0.0)
+    u = interpolate_velocity(space, lambda x: np.column_stack(
+        [np.ones(len(x)), np.zeros(len(x))]))
     assert abs(ops.flux[(1, 1, 1)] @ u - 2.0) <= 1e-12   # n = +e1, side length H = 2
     assert abs(ops.sigma @ u + 2.0) <= 1e-12             # left side, n = -e1
     assert np.max(np.abs(ops.D @ u)) <= 1e-12            # div of a constant
@@ -109,7 +111,7 @@ def test_interface_flux_of_constant_field():
 
 def test_discrete_divergence_theorem():
     mesh, space, ops = make(1, 1, 1.0, 1.0)
-    all_flux = boundary_flux_vector(space, mesh, list(mesh.boundary_edges))
+    all_flux = boundary_flux_vector(space, list(mesh.boundary_edges))
     rng = np.random.default_rng(5)
     for _ in range(5):
         u = rng.standard_normal(space.n_velocity)
@@ -119,10 +121,10 @@ def test_discrete_divergence_theorem():
 
 def test_body_force_zero_and_constant():
     mesh, space, ops = make(4, 2)
-    zero = assemble_body_force(space, mesh, lambda x, t: np.zeros((len(x), 2)), 0.0)
+    zero = assemble_body_force(space, lambda x: np.zeros((len(x), 2)))
     assert np.array_equal(zero, np.zeros(space.n_velocity))
-    const = assemble_body_force(space, mesh, lambda x, t: np.column_stack(
-        [np.ones(len(x)), np.zeros(len(x))]), 0.0)
+    const = assemble_body_force(space, lambda x: np.column_stack(
+        [np.ones(len(x)), np.zeros(len(x))]))
     # partition of unity: the x-rows sum to the domain area
     assert abs(const[:space.n_scalar].sum() - 20.0) <= 1e-12 * 20.0
     assert np.max(np.abs(const[space.n_scalar:])) <= 1e-14
@@ -134,9 +136,9 @@ def test_body_force_quadrature_oracle():
     mesh = build_rect_mesh(RectDomain(10.0, 2.0), 100, 20, channel_layout())
     space = build_space(mesh)
     exact = exact_for(1, nonlinear=True)
-    f = exact.domains[0].force
-    standard = assemble_body_force(space, mesh, f, 0.0)
-    oracle = assemble_body_force(space, mesh, f, 0.0, rule=duffy_rule(12))
+    f = lambda x: TimeSeparable(exact.domains[0].force, lambda g: g(x))(0.0)
+    standard = assemble_body_force(space, f)
+    oracle = assemble_body_force(space, f, rule=duffy_rule(12))
     rel = np.linalg.norm(standard - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-10
 
@@ -150,18 +152,18 @@ def test_l2_norms_and_interpolation():
     assert (zero_v @ (ops.M @ zero_v), zero_v @ (ops.K @ zero_v),
             zero_p @ (ops.Mp @ zero_p)) == (0.0, 0.0, 0.0)
 
-    u = interpolate_velocity(space, mesh, lambda x, t: np.column_stack(
-        [np.ones(len(x)), np.zeros(len(x))]), 0.0)
+    u = interpolate_velocity(space, lambda x: np.column_stack(
+        [np.ones(len(x)), np.zeros(len(x))]))
     assert abs(np.sqrt(u @ (ops.M @ u)) - np.sqrt(20.0)) <= 1e-12
     assert u @ (ops.K @ u) <= 1e-12   # quadratic-form rounding floor
 
     # P1 reproduces linears: p = x1, ||p||^2 = H L^3 / 3
-    p = interpolate_pressure(space, mesh, lambda x, t: x[:, 0], 0.0)
+    p = interpolate_pressure(space, lambda x: x[:, 0])
     assert abs(p @ (ops.Mp @ p) - 2.0 * 1000.0 / 3.0) <= 1e-12 * 1000.0
 
     # P2 reproduces quadratics: v = (x2^2, 0), |grad v|^2 integrates to 80/3
-    u2 = interpolate_velocity(space, mesh, lambda x, t: np.column_stack(
-        [x[:, 1] ** 2, np.zeros(len(x))]), 0.0)
+    u2 = interpolate_velocity(space, lambda x: np.column_stack(
+        [x[:, 1] ** 2, np.zeros(len(x))]))
     assert abs(u2 @ (ops.K @ u2) - 80.0 / 3.0) <= 1e-12 * 80.0
 
 
@@ -169,5 +171,5 @@ def test_exact_velocity_norm_paper_mesh():
     # interpolant of the benchmark profile at t=0: ||v||^2 -> 120 as h -> 0
     mesh, space, ops = make(100, 20)
     exact = exact_for(1)
-    u = interpolate_velocity(space, mesh, exact.domains[0].velocity, 0.0)
+    u = TimeSeparable(exact.domains[0].velocity, partial(interpolate_velocity, space))(0.0)
     assert abs(u @ (ops.M @ u) - 120.0) <= 1e-3 * 120.0

@@ -394,7 +394,7 @@ def test_time_only_inputs_broadcast_bitwise(example, nonlinear):
     scalars = times.ravel().tolist()
     for dom, dex in zip(case.system.domains, case.exact.domains):
         pbars = [f for f in (dom.pbar, dex.pbar) if f is not None]
-        coefficient_fns = [c for c, _ in dex.force_terms] + dom.body_load.coeffs
+        coefficient_fns = [c for c, _ in dex.force] + dom.body_load.coeffs
         for f in pbars + coefficient_fns:
             values = np.asarray(f(times))
             assert values.shape == times.shape
@@ -417,7 +417,8 @@ def test_time_only_inputs_of_the_wrong_shape_are_rejected():
         splitting.stage1_loads(splitting.CoupledSystem(
             [dataclasses.replace(dom, pbar=lambda t: 1.0)], [spec]), ends)
     dom.body_load.coeffs.append(lambda t: 2.0)
-    with pytest.raises(ValueError, match="load coefficient 2"):
+    with pytest.raises(ValueError,
+                       match=r"time coefficient 2 of times shaped \(3,\) has shape \(\)"):
         splitting.stage1_loads(sys_, ends)
     flat = dataclasses.replace(spec, s=lambda t: np.zeros(spec.dim))
     with pytest.raises(ValueError, match="circuit 1: s"):
