@@ -43,14 +43,6 @@ def _kinetic_energy(system, velocities, mass_products) -> float:
     return e
 
 
-def _stored_energy(system, state) -> float:
-    """(1/2) sum of ||U^{1/2} y||^2 over the circuits."""
-    e = 0.0
-    for spec, y in zip(system.circuits, state.ys):
-        e += energy(spec, y, state.t)
-    return e
-
-
 def energy_report(system, state, mass_products,
                   dt_fd: float | None = None) -> EnergyReport:
     """The energy terms of one state; `mass_products` are its velocities'
@@ -59,12 +51,11 @@ def energy_report(system, state, mass_products,
     d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
         d_om += dom.mu * float(v @ (dom.ops.K @ v))
-    e_up = _stored_energy(system, state)
-    u_up = 0.0
-    for spec, y in zip(system.circuits, state.ys):
-        u_up += float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
+    spec, y = system.circuit, state.y
+    e_up = energy(spec, y, state.t)
+    u_up = float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
     d_rc = sum(c.resistance * state.interfaces[c.interface_id].Q ** 2
-               for _, _, c in system.connections)
+               for _, c in system.connections)
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up)
 
 
@@ -79,11 +70,11 @@ def _step1_balance(system, previous, intermediate, dt: float, mass_products):
             rhs += float(dom.body_load(t_new) @ vs)
         if dom.pbar is not None:
             rhs -= float(dom.pbar(t_new)) * float(dom.ops.sigma @ vs)
-    for spec, yn, ys in zip(system.circuits, previous.ys, intermediate.ys):
-        U = spec.U(ys, t_new)
-        lhs += float(ys @ (U * ys)) / dt
-        rhs += float(yn @ (U * ys)) / dt
-    for _, _, c in system.connections:
+    y_n, y_star = previous.y, intermediate.y
+    U = system.circuit.U(y_star, t_new)
+    lhs += float(y_star @ (U * y_star)) / dt
+    rhs += float(y_n @ (U * y_star)) / dt
+    for _, c in system.connections:
         lhs += c.resistance * intermediate.interfaces[c.interface_id].Q ** 2
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, rel
@@ -116,8 +107,9 @@ def step_energy_audit(system, record, dt: float):
     mvs = record.mass_products
     _, _, rel = _step1_balance(system, record.previous, mid, dt, mvs)
     e_flow = _kinetic_energy(system, mid.velocities, mvs)
-    return (e_flow + _stored_energy(system, mid),
-            e_flow + _stored_energy(system, record.state), rel)
+    new = record.state
+    return (e_flow + energy(system.circuit, mid.y, mid.t),
+            e_flow + energy(system.circuit, new.y, new.t), rel)
 
 
 @dataclass(frozen=True)
@@ -134,8 +126,8 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
       Err = sqrt( dt * sum_n sum_l ||u^n - u_ex(t^n)||^2 / ||u_ex(t^n)||^2 )
 
     with L2 norms for the fields (exact fields taken as their nodal
-    interpolants) and U^{1/2}-weighted Euclidean norms for the circuit
-    states, U evaluated at the respective state.
+    interpolants) and the U^{1/2}-weighted Euclidean norm for the circuit
+    state, U evaluated at the respective state.
     """
     times = np.array([state.t for state in states])
     # each profile interpolated once and each coefficient evaluated once on
@@ -144,6 +136,7 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
                   TimeSeparable(dex.velocity, partial(interpolate_velocity, dom.space)),
                   TimeSeparable(dex.pressure, partial(interpolate_pressure, dom.space)))]
               for dom, dex in zip(system.domains, exact.domains)]
+    spec = system.circuit
     sum_v = sum_p = sum_y = 0.0
     for n, state in enumerate(states):
         t = state.t
@@ -157,15 +150,14 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
                 raise ZeroDivisionError(f"exact field norm vanishes at t={t}")
             sum_v += float(du @ (dom.ops.M @ du)) / den_v
             sum_p += float(dp @ (dom.ops.Mp @ dp)) / den_p
-        for m, spec in enumerate(system.circuits):
-            yex = exact.y(t)
-            Uex = np.sqrt(spec.U(yex, t))
-            Uh = np.sqrt(spec.U(state.ys[m], t))
-            dy = Uh * state.ys[m] - Uex * yex
-            den_y = float((Uex * yex) @ (Uex * yex))
-            if den_y <= 0.0:
-                raise ZeroDivisionError(f"exact state norm vanishes at t={t}")
-            sum_y += float(dy @ dy) / den_y
+        yex = exact.y(t)
+        Uex = np.sqrt(spec.U(yex, t))
+        Uh = np.sqrt(spec.U(state.y, t))
+        dy = Uh * state.y - Uex * yex
+        den_y = float((Uex * yex) @ (Uex * yex))
+        if den_y <= 0.0:
+            raise ZeroDivisionError(f"exact state norm vanishes at t={t}")
+        sum_y += float(dy @ dy) / den_y
     return ErrorReport(np.sqrt(dt * sum_v), np.sqrt(dt * sum_p), np.sqrt(dt * sum_y))
 
 

@@ -80,10 +80,9 @@ class Case:
         for d, dex in zip(self.system.domains, self.exact.domains):
             vels.append(TimeSeparable(dex.velocity, partial(interpolate_velocity, d.space))(0.0))
             prs.append(TimeSeparable(dex.pressure, partial(interpolate_pressure, d.space))(0.0))
-        ys = [self.exact.y(0.0)]
         ifs = {iid: InterfaceValues(float(ie.P(0.0)), float(ie.Q(0.0)), float(ie.pi(0.0)))
                for iid, ie in self.exact.interfaces.items()}
-        return CoupledState(vels, prs, ys, ifs, 0.0)
+        return CoupledState(vels, prs, self.exact.y(0.0), ifs, 0.0)
 
 
 def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int = 20,
@@ -116,5 +115,5 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
         domains.append(Domain(space, ops, p.rho, p.mu, body_load, pbar))
 
     circuit = _circuit(example, p, exact, zero_forcing, nonlinear)
-    system = CoupledSystem(domains, [circuit])
+    system = CoupledSystem(domains, circuit)
     return Case(example, nonlinear, p, system, exact, DEFAULT_SUBSTEPS[example])

@@ -100,13 +100,13 @@ def _fmt(x) -> str:
 
 
 def _write_series_csv(path: Path, result) -> None:
-    iids = [c.interface_id for _, _, c in result.case.system.connections]
+    iids = [c.interface_id for _, c in result.case.system.connections]
     cols = ["t"]
     for iid in iids:
         lbl = "_".join(str(i) for i in iid)
         cols += [f"P_{lbl}", f"Q_{lbl}", f"pi_{lbl}"]
-    for m, spec in enumerate(result.case.system.circuits):
-        cols += [f"y{m}_{j}" for j in range(spec.dim)]
+    # the y0_ prefix keeps the column names of earlier series files
+    cols += [f"y0_{j}" for j in range(result.case.system.circuit.dim)]
     cols += ["E_omega", "E_ups", "D_omega", "D_rc", "U_ups"]
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
@@ -115,8 +115,7 @@ def _write_series_csv(path: Path, result) -> None:
             for iid in iids:
                 iv = row.interfaces[iid]
                 vals += [_fmt(iv.P), _fmt(iv.Q), _fmt(iv.pi)]
-            for y in row.ys:
-                vals += [_fmt(v) for v in y]
+            vals += [_fmt(v) for v in row.y]
             e = row.energy
             vals += [_fmt(e.e_omega), _fmt(e.e_ups), _fmt(e.d_omega),
                      _fmt(e.d_rc), _fmt(e.u_ups)]
@@ -212,8 +211,6 @@ def cmd_convergence(cfg) -> int:
 def cmd_stability(cfg) -> int:
     for dt in cfg.dt_list:      # every dt before any run, not one sweep at a time
         check_positive("dt", dt)
-    if cfg.steps < 1:
-        raise ValueError(f"steps must be >= 1, got steps={cfg.steps}")
     s_sub = substeps(cfg)
     case = build_case(cfg.example, nonlinear=False, nx=cfg.nx, ny=cfg.ny,
                       params=parameters(cfg), zero_forcing=True)

@@ -283,8 +283,8 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
     is a spatial-discretization measure, expected to scale like h^2).
     """
     times = np.asarray(times, dtype=float)
-    spec = system.circuits[0]
-    conns = {c.interface_id: c for _, _, c in system.connections}
+    spec = system.circuit
+    conns = {c.interface_id: c for _, c in system.connections}
 
     circuit_res = 0.0
     coupling_res = 0.0
@@ -313,7 +313,7 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
 
     gx, gw = np.polynomial.legendre.leggauss(40)
     flux_res = 0.0
-    for d, _, conn in system.connections:
+    for d, conn in system.connections:
         mesh = system.domains[d].space.mesh
         eids = mesh.edges_with_kind(TagKind.INTERFACE, conn.interface_id)
         x1 = float(mesh.vertices[mesh.edges[eids[0]][0], 0])
@@ -346,7 +346,7 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
             r -= load
             if dex.pbar is not None:
                 r += float(dex.pbar(t)) * ops.sigma
-            for d, _, conn in system.connections:
+            for d, conn in system.connections:
                 if d == di:
                     iid = conn.interface_id
                     r += float(exact.interfaces[iid].P(t)) * ops.flux[iid]

@@ -226,16 +226,15 @@ def boundary_flux_vector(space: StokesSpace, edge_ids) -> np.ndarray:
     return out
 
 
-def assemble_body_force(space: StokesSpace, f, rule=None) -> np.ndarray:
+def assemble_body_force(space: StokesSpace, f) -> np.ndarray:
     """Load vector with entries integral of f(x) . phi_i.
 
     `f(points)` must accept an (N, 2) array of locations and return an
     (N, 2) array of force values.  The degree-6 rule keeps the quadrature
     error of the transcendental forcing terms far below the discretization
-    error; `rule` (points, weights) replaces it (used by the quadrature
-    cross-check).
+    error.
     """
-    q, w = rule if rule is not None else triangle_rule(6)
+    q, w = triangle_rule(6)
     p, J, detJ, _ = _element_geometry(space.mesh)
     phi = p2_basis(q)
     # physical quadrature points, (T, nq, 2)

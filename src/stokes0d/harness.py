@@ -59,9 +59,8 @@ class _PeriodTracker:
             d = state.pressures[l] - prev.pressures[l]
             yield float(d @ (dom.ops.Mp @ d)), float(
                 prev.pressures[l] @ (dom.ops.Mp @ prev.pressures[l]))
-        for m in range(len(sys_.circuits)):
-            d = state.ys[m] - prev.ys[m]
-            yield float(d @ d), float(prev.ys[m] @ prev.ys[m])
+        d = state.y - prev.y
+        yield float(d @ d), float(prev.y @ prev.y)
 
     def push(self, state, mass_products) -> None:
         """Take the next state; `mass_products` are its velocities' M v."""
@@ -92,7 +91,7 @@ class _PeriodTracker:
 class SeriesRow:
     t: float
     interfaces: dict          # interface_id -> InterfaceValues
-    ys: list
+    y: np.ndarray
     energy: EnergyReport
 
 
@@ -136,7 +135,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     series: list = []
 
     def record_series(state, mass_products):
-        series.append(SeriesRow(state.t, state.interfaces, state.ys,
+        series.append(SeriesRow(state.t, state.interfaces, state.y,
                                 energy_report(system, state, mass_products, dt_fd)))
 
     mass_products = system.mass_products(state.velocities)
@@ -193,6 +192,8 @@ class StabilityReport:
 def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
                   explicit_pi: bool = False) -> StabilityReport:
     """Track the energy chain over an unforced run from exact initial data."""
+    if n_steps < 1:
+        raise ValueError(f"a stability run needs steps >= 1, got steps={n_steps}")
     system = case.system
     s_sub = s_sub if s_sub is not None else case.s_sub
     config = StepConfig(dt, s_sub)

@@ -71,7 +71,7 @@ class CoupledState:
     each stage returns a new one, sharing only arrays it leaves as they are."""
     velocities: list
     pressures: list
-    ys: list
+    y: np.ndarray               # the circuit state
     interfaces: dict            # interface_id -> InterfaceValues
     t: float
 
@@ -94,29 +94,29 @@ class StepConfig:
 
 
 class CoupledSystem:
-    """Flow domains and circuits, wired by the ids (l, m, k) of the circuits'
-    connections: connection k of circuit m attaches to flow domain l."""
+    """Flow domains and one circuit, wired by the ids (l, m, k) of the
+    circuit's connections: connection k attaches to flow domain l, and m is
+    a label that the mesh tags and the connections share.
 
-    def __init__(self, domains, circuits):
+    Several circuits are one: stack their states, concatenate U and s and
+    make A block-diagonal.  Stage 2 then gives each part's own result.
+    """
+
+    def __init__(self, domains, circuit):
         self.domains = list(domains)
-        self.circuits = list(circuits)
-        # (domain index, circuit index, connection), in circuit order
-        self.connections = [(c.interface_id[0] - 1, m, c)
-                            for m, spec in enumerate(self.circuits)
-                            for c in spec.connections]
+        self.circuit = circuit
+        # (domain index, connection), in circuit order
+        self.connections = [(c.interface_id[0] - 1, c) for c in circuit.connections]
         self._step1_cache = {}
         self._validate()
 
     def _validate(self):
-        for _, m, c in self.connections:
-            l, owner, _ = c.interface_id
-            if not 1 <= l <= len(self.domains):
-                raise ValueError(f"connection {c.interface_id}: no flow domain {l}")
-            if owner != m + 1:
-                raise ValueError(f"connection {c.interface_id} is held by circuit {m + 1}")
+        for d, c in self.connections:
+            if not 0 <= d < len(self.domains):
+                raise ValueError(f"connection {c.interface_id}: no flow domain {d + 1}")
         mesh_ids = {(d, iid) for d, dom in enumerate(self.domains)
                     for iid in dom.space.mesh.interface_ids()}
-        bound_ids = [(d, c.interface_id) for d, _, c in self.connections]
+        bound_ids = [(d, c.interface_id) for d, c in self.connections]
         if len(bound_ids) != len(set(bound_ids)):
             raise ValueError("an interface is connected more than once")
         if set(bound_ids) != mesh_ids:
@@ -147,10 +147,9 @@ class CoupledSystem:
     def zero_state(self) -> CoupledState:
         vels = [np.zeros(d.space.n_velocity) for d in self.domains]
         prs = [np.zeros(d.space.n_pressure) for d in self.domains]
-        ys = [np.zeros(c.dim) for c in self.circuits]
         ifs = {c.interface_id: InterfaceValues(0.0, 0.0, 0.0)
-               for _, _, c in self.connections}
-        return CoupledState(vels, prs, ys, ifs, 0.0)
+               for _, c in self.connections}
+        return CoupledState(vels, prs, np.zeros(self.circuit.dim), ifs, 0.0)
 
     def mass_products(self, velocities) -> list:
         """M v of each domain's velocity."""
@@ -229,7 +228,7 @@ class _Step1Solver:
             Df = dom.ops.D.tocsr()[:, free].tocoo()
             blocks.append((prs[Df.row], vel[Df.col], Df.data))      # continuity
             blocks.append((vel[Df.col], prs[Df.row], -Df.data))     # -D^T p
-        for b, (d, _, conn) in enumerate(system.connections):
+        for b, (d, conn) in enumerate(system.connections):
             dom = system.domains[d]
             phi = dom.ops.flux[conn.interface_id][dom.space.free]
             nz = np.nonzero(phi)[0]
@@ -251,7 +250,7 @@ class _Step1Solver:
                 f"stage-1 factorization failed for {self._describe()}: {err}") from err
 
     def _describe(self) -> str:
-        ifs = ", ".join(str(c.interface_id) for _, _, c in self.system.connections)
+        ifs = ", ".join(str(c.interface_id) for _, c in self.system.connections)
         return (f"{len(self.system.domains)} domain(s) with interfaces [{ifs}] "
                 f"at dt={self.dt}")
 
@@ -272,8 +271,8 @@ class _Step1Solver:
             if pbar is not None:
                 r -= float(pbar) * dom.ops.sigma[free]
             rhs[layout.velocity[d]] = r
-        for b, (d, m, conn) in enumerate(sys_.connections):
-            pi_n = state.ys[m][conn.pi_index]
+        for b, (d, conn) in enumerate(sys_.connections):
+            pi_n = state.y[conn.pi_index]
             rhs[layout.pi[b]] = pi_n
             if self.explicit_pi:
                 dom = sys_.domains[d]
@@ -292,14 +291,14 @@ class _Step1Solver:
             v[dom.space.free] = x[layout.velocity[d]]
             vels.append(v)
         prs = [x[positions] for positions in layout.pressure]
-        ys = [y.copy() for y in state.ys]
+        y = state.y.copy()
         interfaces = {}
-        for b, (_, m, conn) in enumerate(sys_.connections):
+        for b, (_, conn) in enumerate(sys_.connections):
             Q = float(x[layout.q[b]])
             pi = float(x[layout.pi[b]])
-            ys[m][conn.pi_index] = pi
+            y[conn.pi_index] = pi
             interfaces[conn.interface_id] = InterfaceValues(pi + conn.resistance * Q, Q, pi)
-        return CoupledState(vels, prs, ys, interfaces, state.t)
+        return CoupledState(vels, prs, y, interfaces, state.t)
 
 
 # A run evaluates its time-only inputs for at most this many steps at once,
@@ -333,19 +332,16 @@ def stage1_loads(system: CoupledSystem, ends: np.ndarray) -> list:
 
 
 def stage2_sources(system: CoupledSystem, starts: np.ndarray, dt: float,
-                   s_sub: int) -> list:
-    """Per circuit, the generator sources at the substep end times of the
+                   s_sub: int) -> np.ndarray:
+    """The circuit's generator sources at the substep end times of the
     steps that start at `starts`, shape (n, s_sub, dim)."""
     times = starts[:, None] + np.arange(1, s_sub + 1) * (dt / s_sub)
-    out = []
-    for m, spec in enumerate(system.circuits):
-        sources = spec.s(times)
-        if sources.shape != times.shape + (spec.dim,):
-            raise ValueError(f"circuit {m + 1}: s(t) of times shaped {times.shape} "
-                             f"has shape {sources.shape}, expected "
-                             f"{times.shape + (spec.dim,)}")
-        out.append(sources)
-    return out
+    spec = system.circuit
+    sources = spec.s(times)
+    if sources.shape != times.shape + (spec.dim,):
+        raise ValueError(f"circuit s(t) of times shaped {times.shape} has shape "
+                         f"{sources.shape}, expected {times.shape + (spec.dim,)}")
+    return sources
 
 
 def step1(system: CoupledSystem, state: CoupledState, dt: float,
@@ -353,7 +349,7 @@ def step1(system: CoupledSystem, state: CoupledState, dt: float,
     """Stage 1: one implicit step of the flow/interface subsystem.
 
     Returns the intermediate state: velocities and pressures at the new
-    time level, circuit node pressures updated, remaining circuit entries
+    time level, the circuit's node pressures updated, its remaining entries
     copied unchanged.  The state's clock still marks the interval start;
     stage 2 advances it.  `loads` is this step's slice of `stage1_loads`
     and `mass_products` the M v of the state's velocities, as `run` hands
@@ -365,12 +361,11 @@ def step1(system: CoupledSystem, state: CoupledState, dt: float,
 def step2(system: CoupledSystem, state: CoupledState, dt: float,
           s_sub: int, sources) -> CoupledState:
     """Stage 2: interior circuit dynamics; velocities and pressures are
-    reused as-is (bitwise), only circuit states and the clock move.
-    `sources` is this step's slice of `stage2_sources`, one (s_sub, dim)
-    block per circuit, as `run` hands it over."""
-    ys = [step2_integrate(spec, y, state.t, s_sub, dt / s_sub, src)
-          for spec, y, src in zip(system.circuits, state.ys, sources)]
-    return CoupledState(state.velocities, state.pressures, ys,
+    reused as-is (bitwise), only the circuit state and the clock move.
+    `sources` is this step's (s_sub, dim) slice of `stage2_sources`, as
+    `run` hands it over."""
+    y = step2_integrate(system.circuit, state.y, state.t, s_sub, dt / s_sub, sources)
+    return CoupledState(state.velocities, state.pressures, y,
                         state.interfaces, state.t + dt)
 
 
@@ -404,7 +399,7 @@ def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
             step_loads = [(None if c is None else c[k], None if p is None else p[k])
                           for c, p in loads]
             mid = step1(system, state, dt, explicit_pi, step_loads, mass_products)
-            new = step2(system, mid, dt, s_sub, [s[k] for s in sources])
+            new = step2(system, mid, dt, s_sub, sources[k])
             mass_products = system.mass_products(new.velocities)
             record = StepRecord(first + k, state, mid, new, mass_products)
             for obs in observers:

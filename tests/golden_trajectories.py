@@ -85,7 +85,7 @@ def state_digest(state) -> str:
     """sha256 over the clock, every array's little-endian bytes and the
     interface values in interface order."""
     h = hashlib.sha256(_hex(state.t).encode())
-    for arrays in (state.velocities, state.pressures, state.ys):
+    for arrays in (state.velocities, state.pressures, [state.y]):
         for a in arrays:
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     for iid in sorted(state.interfaces):
@@ -108,7 +108,7 @@ def periodic_records() -> list:
                        for k in ("err_v", "err_p", "err_y")},
             "final_state_sha256": state_digest(s),
             "final_state_norms": [_hex(np.linalg.norm(a))
-                                  for a in (*s.velocities, *s.pressures, *s.ys)],
+                                  for a in (*s.velocities, *s.pressures, s.y)],
         })
     return out
 

@@ -33,7 +33,7 @@ def exact_states(case, times):
     for t in times:
         st = case.initial_state()
         st.velocities[0], st.pressures[0] = velocity(t), pressure(t)
-        st.ys[0] = case.exact.y(t)
+        st.y = case.exact.y(t)
         st.t = t
         states.append(st)
     return states
@@ -88,16 +88,15 @@ def periodicity_gap(system, states, period_samples: int) -> float:
                 raise ZeroDivisionError("previous period has zero norm; "
                                         "degenerate periodicity reference")
             gaps.append(num / den)
-    for m in range(len(system.circuits)):
-        num = den = 0.0
-        for sc, sp in zip(cur, prev):
-            d = sc.ys[m] - sp.ys[m]
-            num += float(d @ d)
-            den += float(sp.ys[m] @ sp.ys[m])
-        if den <= 0.0:
-            raise ZeroDivisionError("previous period has zero norm; "
-                                    "degenerate periodicity reference")
-        gaps.append(num / den)
+    num = den = 0.0
+    for sc, sp in zip(cur, prev):
+        d = sc.y - sp.y
+        num += float(d @ d)
+        den += float(sp.y @ sp.y)
+    if den <= 0.0:
+        raise ZeroDivisionError("previous period has zero norm; "
+                                "degenerate periodicity reference")
+    gaps.append(num / den)
     return max(gaps)
 
 
@@ -134,7 +133,7 @@ def test_error_norms_zero_for_exact_trajectory():
 
     # joint scaling of computed and exact fields leaves the errors unchanged
     doubled = [CoupledState([2.0 * v for v in s.velocities],
-                            [2.0 * p for p in s.pressures], s.ys, {}, s.t)
+                            [2.0 * p for p in s.pressures], s.y, {}, s.t)
                for s in states]
     exact2 = _scaled_exact(case.exact, 2.0)
     rep2 = error_norms(case.system, doubled, exact2, dt)
@@ -167,13 +166,13 @@ def test_error_norm_symmetry_constant_U():
     start = case.initial_state()
     state = run(case.system, start, StepConfig(dt, 10), 3,
                 case.system.mass_products(start.velocities))
-    spec = case.system.circuits[0]
+    spec = case.system.circuit
     t = state.t
-    U = np.sqrt(spec.U(state.ys[0], t))
+    U = np.sqrt(spec.U(state.y, t))
     yex = case.exact.y(t)
-    fwd = np.linalg.norm(U * state.ys[0] - U * yex)
+    fwd = np.linalg.norm(U * state.y - U * yex)
     assert np.array_equal(U, np.sqrt(spec.U(yex, t)))
-    bwd = np.linalg.norm(U * yex - U * state.ys[0])
+    bwd = np.linalg.norm(U * yex - U * state.y)
     assert fwd == bwd
 
 
@@ -306,6 +305,14 @@ def test_stability_run_fails_when_the_energy_goes_nan():
     rep = stability_run(case, 1.0, 3)
     assert np.isnan(rep.max_increase) and np.isnan(rep.chain_violation)
     assert not rep.passed()
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_stability_run_needs_a_step(n_steps):
+    # with no step the chain maxima stay at -inf, which passed() reads as a pass
+    case = build_case(1, nx=8, ny=2, zero_forcing=True)
+    with pytest.raises(ValueError, match=f"got steps={n_steps}$"):
+        stability_run(case, 0.1, n_steps)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from stokes0d import (CircuitSpec, Connection, Example1Params,
                       Example2Params, Example3Params, eval_B, example1_circuit,
@@ -214,6 +215,42 @@ def test_constant_matrices_are_one_array_object():
         assert spec.A(np.zeros(spec.dim), 0.0) is spec.A(np.ones(spec.dim), 1.0)
     spec, _ = circuits["ex1-nonlinear"]
     assert spec.A(np.zeros(2), 0.0) is not spec.A(np.ones(2), 0.0)
+
+
+def _union(*specs):
+    """Several circuits as one: states stacked, U and s concatenated, A
+    block-diagonal of the parts' matrices at their parts of the state."""
+    cuts = np.cumsum([0] + [spec.dim for spec in specs])
+
+    def parts(y):
+        return [y[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+    return CircuitSpec(
+        int(cuts[-1]),
+        A=lambda y, t: block_diag(*(spec.A(p, t) for spec, p in zip(specs, parts(y)))),
+        U=lambda y, t: np.concatenate([spec.U(p, t) for spec, p in zip(specs, parts(y))]),
+        s=lambda t: np.concatenate([spec.s(t) for spec in specs], axis=-1),
+        connections=())
+
+
+@pytest.mark.parametrize("dt2", [1e-4, 1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("names", [("ex2", "ex3"), ("ex1-nonlinear", "ex3")])
+def test_several_circuits_are_one(names, dt2):
+    # a system holds one circuit; a network of several is their union
+    circuits = _forced_circuits()
+    specs = [circuits[name][0] for name in names]
+    starts = [circuits[name][1](0.3) for name in names]
+    union = _union(*specs)
+    y0 = np.concatenate(starts)
+    for n_sub in (1, 5):
+        got = step2_integrate(union, y0, 0.3, n_sub, dt2,
+                              _substep_sources(union, 0.3, n_sub, dt2))
+        want = np.concatenate([
+            step2_integrate(spec, y, 0.3, n_sub, dt2, _substep_sources(spec, 0.3, n_sub, dt2))
+            for spec, y in zip(specs, starts)])
+        assert got.tobytes() == want.tobytes()
+    parts = [energy(spec, y, 0.3) for spec, y in zip(specs, starts)]
+    assert energy(union, y0, 0.3) == pytest.approx(sum(parts), rel=1e-15)
 
 
 def test_step2_rejects_sources_of_the_wrong_shape():

@@ -4,12 +4,14 @@ On the platform the files were written on the results must match byte for
 byte; elsewhere within golden_trajectories.TOLERANCES.  Either way the test
 prints which comparison ran.  To regenerate, see golden_trajectories.py.
 """
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import golden_trajectories as gt
+from stokes0d import build_case
 
 
 def _load(name):
@@ -99,3 +101,43 @@ def test_tolerance_comparison(name, fresh):
     CHECKS[name](fresh[name], want)
     with pytest.raises(AssertionError):
         CHECKS[name](_moved(name, fresh[name]), want)
+
+
+def _flipped(x):
+    """x with the lowest bit of its last entry flipped."""
+    a = np.array(x, dtype="<f8")
+    a.reshape(-1).view("<i8")[-1] ^= 1
+    return a if np.ndim(x) else float(a)
+
+
+def _changed_states(state):
+    """(what changed, state) for each change of one value of one field of
+    `state`: the last bit of each array and of the clock, each interface value."""
+    for field in dataclasses.fields(state):
+        name, value = field.name, getattr(state, field.name)
+        if isinstance(value, (float, np.ndarray)):
+            yield name, dataclasses.replace(state, **{name: _flipped(value)})
+        elif isinstance(value, list):
+            for k, a in enumerate(value):
+                arrays = value[:k] + [_flipped(a)] + value[k + 1:]
+                yield f"{name}[{k}]", dataclasses.replace(state, **{name: arrays})
+        elif isinstance(value, dict):
+            for key, iv in value.items():
+                for part in dataclasses.fields(iv):
+                    moved = dataclasses.replace(
+                        iv, **{part.name: _flipped(getattr(iv, part.name))})
+                    yield (f"{name}[{key}].{part.name}",
+                           dataclasses.replace(state, **{name: {**value, key: moved}}))
+        else:
+            raise TypeError(f"no change defined for state field {name}: {type(value)}")
+
+
+def test_state_digest_sees_every_field():
+    # a field the digest leaves out would drop out of the bitwise check
+    state = build_case(2, nx=4, ny=2).initial_state()
+    base = gt.state_digest(state)
+    changed = list(_changed_states(state))
+    assert len(changed) == 1 + 2 + 2 + 1 + 3 * 2    # t, velocities, pressures, y, P/Q/pi
+    for what, other in changed:
+        assert gt.state_digest(other) != base, what
+    assert gt.state_digest(state) == base

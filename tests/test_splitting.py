@@ -47,7 +47,7 @@ def test_zero_state_zero_forcing_stays_zero():
     out = run_from(case, state, StepConfig(0.05, 5), 4)
     assert all(np.max(np.abs(v)) == 0.0 for v in out.velocities)
     assert all(np.max(np.abs(p)) == 0.0 for p in out.pressures)
-    assert all(np.max(np.abs(y)) == 0.0 for y in out.ys)
+    assert np.max(np.abs(out.y)) == 0.0
 
 
 def test_step1_interface_values_near_exact():
@@ -58,14 +58,14 @@ def test_step1_interface_values_near_exact():
     assert abs(iv.P - 1035.7588823428846) <= 2e-2 * 1035.0
     assert abs(iv.Q - 4.0) <= 2e-2 * 4.0
     # omega (volume state) exactly frozen through stage 1
-    assert mid.ys[0][1] == case.initial_state().ys[0][1]
+    assert mid.y[1] == case.initial_state().y[1]
 
 
 def test_step1_consistency_relations():
     case = coarse_case()
     for rec in step_records(case, 0.01, 3):
         mid = rec.intermediate
-        for d, _, conn in case.system.connections:
+        for d, conn in case.system.connections:
             iv = mid.interfaces[conn.interface_id]
             dom = case.system.domains[d]
             flux = float(dom.ops.flux[conn.interface_id] @ mid.velocities[d])
@@ -83,7 +83,7 @@ def test_mass_conservation_of_stage1_solution():
             v = rec.intermediate.velocities[d]
             total = float(dom.ops.sigma @ v)
             total += sum(float(dom.ops.flux[conn.interface_id] @ v)
-                         for dc, _, conn in case.system.connections if dc == d)
+                         for dc, conn in case.system.connections if dc == d)
             assert abs(total) <= 1e-10
 
 
@@ -91,7 +91,7 @@ def test_step1_flow_direction_from_circuit_pressure():
     # quiescent fluid, pressurized circuit node: flow enters the domain
     case = coarse_case(zero_forcing=True)
     state = case.system.zero_state()
-    state.ys[0][0] = 100.0
+    state.y[0] = 100.0
     mid = step_records(case, 0.01, 1, state)[0].intermediate
     iv = mid.interfaces[(1, 1, 1)]
     assert iv.Q < 0.0
@@ -154,7 +154,7 @@ def test_stage1_matrix_matches_block_definition(explicit_pi):
         D = dom.ops.D.tocsr()[:, free]
         expected[vel] = dom.rho / dt * (M @ v) + dom.mu * (K @ v) - D.T @ p
         expected[prs] = D @ v
-    for b, (d, _, conn) in enumerate(case.system.connections):
+    for b, (d, conn) in enumerate(case.system.connections):
         dom = case.system.domains[d]
         vel = layout.velocity[d]
         phi = dom.ops.flux[conn.interface_id][dom.space.free]
@@ -199,7 +199,7 @@ def test_run_zero_steps_and_determinism():
     a = run_from(case, case.initial_state(), StepConfig(0.01, 5), 10)
     b = run_from(case, case.initial_state(), StepConfig(0.01, 5), 10)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.velocities, b.velocities))
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.ys, b.ys))
+    assert a.y.tobytes() == b.y.tobytes()
 
 
 def test_observers_see_each_step():
@@ -220,7 +220,7 @@ def test_multidomain_example2_runs():
     case = coarse_case(2)
     state = run_from(case, case.initial_state(), StepConfig(0.01, 10), 5)
     assert len(state.velocities) == 2
-    for _, _, conn in case.system.connections:
+    for _, conn in case.system.connections:
         iv = state.interfaces[conn.interface_id]
         assert np.isfinite(iv.P) and np.isfinite(iv.Q)
     # both interfaces feed one circuit; node pressures track the y entries
@@ -312,25 +312,25 @@ def test_binding_validation():
     from stokes0d.splitting import CoupledSystem
     case = coarse_case()
     dom = case.system.domains[0]
-    circ = case.system.circuits[0]
+    circ = case.system.circuit
     conn = circ.connections[0]
     unwired = dataclasses.replace(circ, connections=())
     with pytest.raises(ValueError, match="do not match"):
-        CoupledSystem([dom], [unwired])         # mesh interface left unconnected
+        CoupledSystem([dom], unwired)           # mesh interface left unconnected
     stray = dataclasses.replace(conn, interface_id=(9, 9, 9))
     with pytest.raises(ValueError, match="no flow domain"):
-        CoupledSystem([dom], [dataclasses.replace(circ, connections=(stray,))])
-    # (1, 1, 1) held by the second circuit: its m names the first
-    with pytest.raises(ValueError, match="held by circuit 2"):
-        CoupledSystem([dom], [unwired, circ])
-    wired = CoupledSystem([dom], [circ])
-    assert wired.connections == [(0, 0, conn)]
+        CoupledSystem([dom], dataclasses.replace(circ, connections=(stray,)))
+    twice = (conn, dataclasses.replace(conn, pi_index=1))
+    with pytest.raises(ValueError, match="connected more than once"):
+        CoupledSystem([dom], dataclasses.replace(circ, connections=twice))
+    wired = CoupledSystem([dom], circ)
+    assert wired.connections == [(0, conn)]
 
 
 def _assert_states_equal(a, b):
     assert a.t == b.t and a.interfaces == b.interfaces
     for xs, ys in ((a.velocities, b.velocities), (a.pressures, b.pressures),
-                   (a.ys, b.ys)):
+                   ([a.y], [b.y])):
         assert len(xs) == len(ys)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
@@ -412,14 +412,15 @@ def test_time_only_inputs_of_the_wrong_shape_are_rejected():
     case = coarse_case(1, nx=4, ny=2)
     sys_ = case.system
     ends = splitting.step_times(0.0, 0.1, 3)[1:]
-    dom, spec = sys_.domains[0], sys_.circuits[0]
+    dom, spec = sys_.domains[0], sys_.circuit
     with pytest.raises(ValueError, match="domain 1: pbar"):
         splitting.stage1_loads(splitting.CoupledSystem(
-            [dataclasses.replace(dom, pbar=lambda t: 1.0)], [spec]), ends)
+            [dataclasses.replace(dom, pbar=lambda t: 1.0)], spec), ends)
     dom.body_load.coeffs.append(lambda t: 2.0)
     with pytest.raises(ValueError,
                        match=r"time coefficient 2 of times shaped \(3,\) has shape \(\)"):
         splitting.stage1_loads(sys_, ends)
     flat = dataclasses.replace(spec, s=lambda t: np.zeros(spec.dim))
-    with pytest.raises(ValueError, match="circuit 1: s"):
-        splitting.stage2_sources(splitting.CoupledSystem([dom], [flat]), ends, 0.1, 4)
+    with pytest.raises(ValueError,
+                       match=r"circuit s\(t\) of times shaped \(3, 4\) has shape \(2,\)"):
+        splitting.stage2_sources(splitting.CoupledSystem([dom], flat), ends, 0.1, 4)
