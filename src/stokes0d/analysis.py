@@ -43,10 +43,10 @@ def _kinetic_energy(system, velocities, mass_products) -> float:
     return e
 
 
-def energy_report(system, state, mass_products,
-                  dt_fd: float | None = None) -> EnergyReport:
+def energy_report(system, state, mass_products, dt_fd: float) -> EnergyReport:
     """The energy terms of one state; `mass_products` are its velocities'
-    M v (`CoupledSystem.mass_products`)."""
+    M v (`CoupledSystem.mass_products`), and `dt_fd` the time step of the
+    central difference that gives u_ups its -1/2 dU/dt term."""
     e_om = _kinetic_energy(system, state.velocities, mass_products)
     d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
@@ -68,8 +68,6 @@ def _step1_balance(system, previous, intermediate, dt: float, mass_products):
         rhs += (dom.rho / dt) * float(vn @ mvs)
         if dom.body_load is not None:
             rhs += float(dom.body_load(t_new) @ vs)
-        if dom.pbar is not None:
-            rhs -= float(dom.pbar(t_new)) * float(dom.ops.sigma @ vs)
     y_n, y_star = previous.y, intermediate.y
     U = system.circuit.U(y_star, t_new)
     lhs += float(y_star @ (U * y_star)) / dt

@@ -46,10 +46,15 @@ def _layouts(example: int):
     raise ValueError(f"example must be 1, 2 or 3, got {example}")
 
 
-def TimeSeparableLoad(space, terms) -> TimeSeparable:
-    """The body load sum_j c_j(t) F_j of force terms (c_j, g_j), each F_j
-    assembled once from its profile g_j."""
-    return TimeSeparable(terms, partial(assemble_body_force, space))
+def TimeSeparableLoad(space, ops, terms, pbar) -> TimeSeparable:
+    """The stage-1 momentum load sum_j c_j(t) F_j of force terms (c_j, g_j),
+    each F_j assembled once from its profile g_j, and, where the domain has
+    an external side (`pbar` not None), its traction -pbar(t) sigma as one
+    more term."""
+    if pbar is not None:
+        terms = [*terms, (lambda t: -pbar(t), ops.sigma)]
+    return TimeSeparable(
+        terms, lambda g: g if g is ops.sigma else assemble_body_force(space, g))
 
 
 def _circuit(example, p, exact: ExactSolutionSet, zero_forcing: bool, nonlinear: bool):
@@ -95,7 +100,7 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
     energy must decay monotonically for every time step.
     """
     if nonlinear and example != 1:
-        raise ValueError("only example 1 has a nonlinear variant")
+        raise ValueError(f"only example 1 has a nonlinear variant, got example={example}")
     p = params if params is not None else params_for(example)
     p.check_circuit_elements()
     exact = exact_for(example, nonlinear=nonlinear, params=p)
@@ -105,14 +110,12 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
         mesh = msh.build_rect_mesh(msh.RectDomain(p.L, p.H), nx, ny, layout)
         space = build_space(mesh)
         ops = assemble_operators(space)
-        if zero_forcing:
-            body_load, pbar = None, None
-        else:
+        body_load = None
+        if not zero_forcing:
             rho = p.rho
             terms = [(lambda t, c=c: rho * c(t), g) for c, g in dex.force]
-            body_load = TimeSeparableLoad(space, terms)
-            pbar = dex.pbar
-        domains.append(Domain(space, ops, p.rho, p.mu, body_load, pbar))
+            body_load = TimeSeparableLoad(space, ops, terms, dex.pbar)
+        domains.append(Domain(space, ops, p.rho, p.mu, body_load))
 
     circuit = _circuit(example, p, exact, zero_forcing, nonlinear)
     system = CoupledSystem(domains, circuit)

@@ -236,13 +236,16 @@ def cmd_stability(cfg) -> int:
 
 
 def cmd_verify_oracle(cfg) -> int:
+    # a zero or negative circuit element fails the oracle; any other
+    # settings mistake exits 2, as in the other commands
     params = parameters(cfg)
     try:
-        case = build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
-                          ny=cfg.ny, params=params)
-    except (ValueError, ZeroDivisionError) as err:
+        params.check_circuit_elements()
+    except ValueError as err:
         print(f"FAIL parameter_validity: {err}")
         return 1
+    case = build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
+                      ny=cfg.ny, params=params)
     import numpy as np
     times = np.linspace(0.0, case.tau, 100, endpoint=False)
     report = verify_exact(case.system, case.exact, times)
@@ -311,7 +314,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,10 @@ and generator signals chosen so that the coupled equations hold exactly.
 All time derivatives are coded analytically.  Each flow field is a tuple of
 terms (c(t), g(points)), time coefficients times fixed profiles; time
 enters only through `fem.TimeSeparable`, which evaluates them as initial
-data, error references and the forcing terms that drive the solver.
+data, error references and the loads that drive the solver.  The external
+pressure pbar(t) of a domain with a Neumann side enters its load as one
+more such term, -pbar(t) times the assembled side functional sigma; the
+oracle audit here reads pbar itself, independently of the solver's load.
 
 Geometry note: in the two-domain benchmark the second channel has its
 interface on the left side (x1 = 0) and its external side on the right

@@ -39,8 +39,10 @@ class _PeriodTracker:
 
     Keeps the latest N_tau + 1 states, each with its velocities' squared
     norms v.(M v); when state i arrives, its counterpart one period earlier
-    is the head of the buffer, and the pair contributes to every period
-    vector containing index i (period boundaries belong to both neighbours).
+    is the head of the buffer, and the pair contributes to the period in
+    progress.  Period boundaries belong to both neighbours: a boundary
+    state closes period p and opens p + 1, so one running sum `acc` is all
+    that is ever open.
     """
 
     def __init__(self, system, n_per: int):
@@ -48,7 +50,7 @@ class _PeriodTracker:
         self.n_per = n_per
         self.buffer = deque(maxlen=n_per + 1)
         self.count = 0
-        self.acc = {}
+        self.acc = None
         self.gaps = {}
 
     def _groups(self, state, prev, prev_velocity_sq_norms):
@@ -70,21 +72,18 @@ class _PeriodTracker:
         self.count += 1
         if i < self.n_per:
             return
-        pairs = list(self._groups(state, *self.buffer[0]))
-        periods = [i // self.n_per, i // self.n_per + 1] if i % self.n_per == 0 \
-            else [i // self.n_per + 1]
-        for p in periods:
-            if p < 2:
-                continue
-            acc = self.acc.setdefault(p, np.zeros((len(pairs), 2)))
-            acc += np.asarray(pairs)
-        if i % self.n_per == 0 and i // self.n_per >= 2:
-            p = i // self.n_per
-            acc = self.acc.pop(p)
+        pairs = np.array(list(self._groups(state, *self.buffer[0])))
+        p, offset = divmod(i, self.n_per)
+        if offset:
+            self.acc += pairs
+            return
+        if p >= 2:
+            acc = self.acc + pairs
             if np.any(acc[:, 1] <= 0.0):
                 raise ZeroDivisionError("previous period has zero norm; "
                                         "degenerate periodicity reference")
             self.gaps[p] = float(np.max(acc[:, 0] / acc[:, 1]))
+        self.acc = pairs
 
 
 @dataclass
@@ -200,7 +199,7 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
     state = case.initial_state()
 
     mass_products = system.mass_products(state.velocities)
-    e_prev = energy_report(system, state, mass_products).total
+    e_prev = energy_report(system, state, mass_products, 1e-6 * case.tau).total
     e0 = e_prev
     max_inc = -np.inf
     chain_viol = -np.inf

@@ -16,8 +16,9 @@ communicate only through initial conditions:
            dt2 = dt / s_sub by semi-implicit Euler; velocities and
            pressures are not touched.
 
-Both stages are driven by known functions of time only: the body loads and
-external pressures of stage 1 at each step's end time, the generator
+Both stages are driven by known functions of time only: the momentum
+loads of stage 1 (body force and external-side traction, one
+`TimeSeparable` per domain) at each step's end time, the generator
 sources of stage 2 at each substep's end time.  A run evaluates each of
 them once per block of up to BLOCK_STEPS steps, in one call on the block's
 whole time grid, and hands every step its slice.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,9 +54,9 @@ class Domain:
     ops: AssembledOperators
     rho: float
     mu: float
-    body_load: Optional[TimeSeparable] = None   # momentum load (rho-scaled), full dofs
-    pbar: Optional[Callable] = None   # t -> external pressure on the Neumann side,
-                                      # shape np.shape(t) for an array t
+    # the stage-1 momentum load on full dofs: the rho-scaled body force and,
+    # on an external side, the traction of the external pressure
+    body_load: Optional[TimeSeparable] = None
 
 
 @dataclass(frozen=True)
@@ -256,20 +257,19 @@ class _Step1Solver:
 
     def solve(self, state: CoupledState, loads, mass_products) -> CoupledState:
         """Stage 1 from `state`, with `loads` the step's slice of
-        `stage1_loads` (one pair per domain) and `mass_products` its
-        velocities' M v.  The momentum rows take (M v)[free], which is
-        Mff v[free] bit for bit: csr_matvec sums each row in stored order,
-        and a computed velocity is exactly 0 on the walls (the benchmarks'
-        initial data, ~1e-32 there, stay below the sums' last bit)."""
+        `stage1_loads` (each domain's load coefficients, or None) and
+        `mass_products` its velocities' M v.  The momentum rows take
+        (M v)[free], which is Mff v[free] bit for bit: csr_matvec sums each
+        row in stored order, and a computed velocity is exactly 0 on the
+        walls (the benchmarks' initial data, ~1e-32 there, stay below the
+        sums' last bit)."""
         sys_, layout = self.system, self.layout
         rhs = np.zeros(self.n)
-        for d, (dom, (coefficients, pbar)) in enumerate(zip(sys_.domains, loads)):
+        for d, (dom, coefficients) in enumerate(zip(sys_.domains, loads)):
             free = dom.space.free
             r = (dom.rho / self.dt) * mass_products[d][free]
             if coefficients is not None:
                 r += dom.body_load.vector(coefficients)[free]
-            if pbar is not None:
-                r -= float(pbar) * dom.ops.sigma[free]
             rhs[layout.velocity[d]] = r
         for b, (d, conn) in enumerate(sys_.connections):
             pi_n = state.y[conn.pi_index]
@@ -314,21 +314,10 @@ def step_times(t: float, dt: float, n_steps: int) -> np.ndarray:
 
 
 def stage1_loads(system: CoupledSystem, ends: np.ndarray) -> list:
-    """Per domain, the body-load coefficients, shape (n, terms), and the
-    external pressure, shape (n,), at the n step end times `ends`; None
-    where a domain has no such load."""
-    out = []
-    for d, dom in enumerate(system.domains):
-        coefficients = pbar = None
-        if dom.body_load is not None:
-            coefficients = dom.body_load.coefficients(ends)
-        if dom.pbar is not None:
-            pbar = np.asarray(dom.pbar(ends), dtype=float)
-            if pbar.shape != ends.shape:
-                raise ValueError(f"domain {d + 1}: pbar of {len(ends)} times has "
-                                 f"shape {pbar.shape}, expected {ends.shape}")
-        out.append((coefficients, pbar))
-    return out
+    """Per domain, the load coefficients at the n step end times `ends`,
+    shape (n, terms), or None for a domain without a load."""
+    return [None if dom.body_load is None else dom.body_load.coefficients(ends)
+            for dom in system.domains]
 
 
 def stage2_sources(system: CoupledSystem, starts: np.ndarray, dt: float,
@@ -396,8 +385,7 @@ def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
         loads = stage1_loads(system, times[1:])
         sources = stage2_sources(system, times[:-1], dt, s_sub)
         for k in range(n_block):
-            step_loads = [(None if c is None else c[k], None if p is None else p[k])
-                          for c, p in loads]
+            step_loads = [None if c is None else c[k] for c in loads]
             mid = step1(system, state, dt, explicit_pi, step_loads, mass_products)
             new = step2(system, mid, dt, s_sub, sources[k])
             mass_products = system.mass_products(new.velocities)

@@ -1,10 +1,14 @@
 """Golden trajectories: exact results of short coarse runs, kept as float.hex.
 
     PYTHONPATH=src python tests/golden_trajectories.py --write
+    PYTHONPATH=src python tests/golden_trajectories.py --diff
 
-recomputes every record and overwrites tests/golden/*.json.  Do this only
-for a change that is meant to move results, and say so with the commit;
-test_golden.py compares the committed files with fresh runs.
+--write recomputes every record and overwrites tests/golden/*.json.  Do
+this only for a change that is meant to move results, and say so with the
+commit; test_golden.py compares the committed files with fresh runs.
+--diff recomputes the records, writes nothing, and prints for each
+committed record "unchanged" or each changed field with its relative
+change; it exits 1 when a record changed.
 
 Each file records the platform it was made on (numpy, scipy and their
 OpenBLAS builds, the machine and numpy's CPU features).  On that platform
@@ -196,9 +200,59 @@ RECORDS = {"periodic": periodic_records, "stability": stability_records,
            "forced_stability": forced_stability_records, "cli": cli_records}
 
 
+def changes(got, want, field="") -> list:
+    """(field, change) of each value where record `got` differs from `want`:
+    the relative change of a float.hex number, "old -> new" of anything
+    else, "changed" of a digest."""
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return [c for k in want
+                for c in changes(got[k], want[k], f"{field}.{k}" if field else k)]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [c for i, (g, w) in enumerate(zip(got, want))
+                for c in changes(g, w, f"{field}[{i}]")]
+    if got == want:
+        return []
+    if all(isinstance(x, str) and "0x" in x for x in (got, want)):
+        g, w = float.fromhex(got), float.fromhex(want)
+        return [(field, f"{abs(g - w) / abs(w):.1e} relative" if w else f"{w!r} -> {g!r}")]
+    if "sha256" in field:
+        return [(field, "changed")]
+    return [(field, f"{want!r} -> {got!r}")]
+
+
+def _label(record) -> str:
+    if "args" in record:
+        return " ".join(record["args"])
+    return ", ".join(f"{k}={record[k]}" for k in ("example", "nonlinear", "dt", "explicit_pi")
+                     if k in record)
+
+
+def diff(name, got, want) -> list:
+    """Lines naming each committed record of `want` with "unchanged" or
+    each field that `got` changes."""
+    lines = []
+    for i, (g, w) in enumerate(zip(got, want)):
+        found = changes(g, w)
+        lines.append(f"{name}[{i}] {_label(w)}: {'changed' if found else 'unchanged'}")
+        lines += [f"  {field}: {change}" for field, change in found]
+    if len(got) != len(want):
+        lines.append(f"{name}: {len(got)} records, {len(want)} committed")
+    return lines
+
+
 def main(argv) -> int:
+    if argv == ["--diff"]:
+        changed = False
+        for name, make in RECORDS.items():
+            doc = json.loads((GOLDEN / f"{name}.json").read_text())
+            if doc["platform"] != platform_record():
+                print(f"{name}: committed on another platform")
+            lines = diff(name, make(), doc["records"])
+            changed = changed or any(not line.endswith(": unchanged") for line in lines)
+            print("\n".join(lines))
+        return 1 if changed else 0
     if argv != ["--write"]:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     GOLDEN.mkdir(exist_ok=True)
     for name, make in RECORDS.items():

@@ -19,8 +19,11 @@ def coarse_case(example=1, **kw):
     return build_case(example, **kw)
 
 
-def full_energy_report(system, state):
-    return energy_report(system, state, system.mass_products(state.velocities))
+def full_energy_report(case, state):
+    """Every energy term of `state`, u_ups with its -1/2 dU/dt term."""
+    system = case.system
+    return energy_report(system, state, system.mass_products(state.velocities),
+                         1e-6 * case.tau)
 
 
 def exact_states(case, times):
@@ -41,15 +44,26 @@ def exact_states(case, times):
 
 def test_energy_report_zero_state():
     case = coarse_case(zero_forcing=True)
-    rep = full_energy_report(case.system, case.system.zero_state())
+    rep = full_energy_report(case, case.system.zero_state())
     assert (rep.e_omega, rep.e_ups, rep.d_omega, rep.d_rc, rep.u_ups) \
         == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_energy_report_exact_initial_state():
     case = build_case(1, nx=100, ny=20)
-    rep = full_energy_report(case.system, case.initial_state())
+    rep = full_energy_report(case, case.initial_state())
     assert abs(rep.e_omega - 60.0) <= 1e-3 * 60.0
+
+
+def test_energy_report_needs_the_difference_step():
+    # u_ups = y^T B y takes B's -1/2 dU/dt term, a central difference of
+    # step dt_fd: nonlinear benchmark 1 reads 90 241.11 at t = 0 with it and
+    # 91 040.43 without, so the step has no default to forget
+    case = coarse_case(1, nonlinear=True, nx=8, ny=2)
+    state = case.initial_state()
+    with pytest.raises(TypeError):
+        energy_report(case.system, state, case.system.mass_products(state.velocities))
+    assert abs(full_energy_report(case, state).u_ups - 90241.108237) <= 1e-6 * 90241.1
 
 
 def test_circuit_energy_value():
@@ -330,12 +344,12 @@ def test_stability_run_matches_full_energy_reports(unforced_20x4, key, dt, expli
     case = unforced_20x4[key]
     n_steps = 60
     state = case.initial_state()
-    e0 = full_energy_report(case.system, state).total
+    e0 = full_energy_report(case, state).total
     fold = {"e_prev": e0, "inc": -np.inf, "chain": -np.inf, "resid": 0.0}
 
     def audit(record):
-        e_mid = full_energy_report(case.system, record.intermediate).total
-        e_new = full_energy_report(case.system, record.state).total
+        e_mid = full_energy_report(case, record.intermediate).total
+        e_new = full_energy_report(case, record.state).total
         _, _, rel = step1_energy_residual(case.system, record.previous,
                                           record.intermediate, dt)
         fold["inc"] = float(np.max([fold["inc"], e_new - fold["e_prev"]]))

@@ -390,6 +390,11 @@ def test_non_positive_circuit_element_rejected(tmp_path, capsys, example, overri
     (["stability", "--steps", "0", "--dt-list", "1"], "steps"),
     (["stability", "--steps", "-3", "--dt-list", "1"], "steps"),
     (["convergence", "--dt-list", "0.01,0.003"], "dt"),
+    # only benchmark 1 has a nonlinear variant, in every command that reads it
+    (["verify-oracle", "--example", "2", "--nonlinear"], "example"),
+    (["verify-oracle", "--example", "3", "--nonlinear"], "example"),
+    (["simulate", "--example", "2", "--nonlinear"], "example"),
+    (["convergence", "--example", "3", "--nonlinear", "--dt-list", "0.5"], "example"),
 ])
 def test_invalid_run_settings_rejected(tmp_path, capsys, argv, name):
     rc = main([*argv, "--nx", "8", "--ny", "2", "--out", str(tmp_path / "run")])

@@ -141,3 +141,34 @@ def test_state_digest_sees_every_field():
     for what, other in changed:
         assert gt.state_digest(other) != base, what
     assert gt.state_digest(state) == base
+
+
+def test_diff_names_each_changed_field():
+    # --diff's comparison of synthetic records: a moved number gives its
+    # relative change, a digest "changed", a flag or count its two values
+    want = [{"example": 1, "nonlinear": True, "dt": 0.05, "converged": True,
+             "gaps": {"2": (0.5).hex()}, "final_state_sha256": "ab" * 32,
+             "final_state_norms": [(2.0).hex(), (8.0).hex()]},
+            {"example": 3, "nonlinear": False, "dt": 0.05, "converged": True,
+             "gaps": {"2": (0.25).hex()}, "final_state_sha256": "cd" * 32,
+             "final_state_norms": [(1.0).hex()]}]
+    got = json.loads(json.dumps(want))
+    assert gt.diff("periodic", got, want) == [
+        "periodic[0] example=1, nonlinear=True, dt=0.05: unchanged",
+        "periodic[1] example=3, nonlinear=False, dt=0.05: unchanged"]
+    got[0].update(converged=False, final_state_sha256="ef" * 32)
+    got[0]["final_state_norms"][1] = (8.0 * (1 + 2 ** -40)).hex()
+    got[0]["gaps"]["2"] = (0.0).hex()
+    assert gt.diff("periodic", got, want) == [
+        "periodic[0] example=1, nonlinear=True, dt=0.05: changed",
+        "  converged: True -> False",
+        "  gaps.2: 1.0e+00 relative",
+        "  final_state_sha256: changed",
+        "  final_state_norms[1]: 9.1e-13 relative",
+        "periodic[1] example=3, nonlinear=False, dt=0.05: unchanged"]
+    cli = [{"args": ["simulate", "--example", "3"], "exit_code": 0,
+            "summary": {"E_omega": (0.0).hex()}}]
+    moved = [{**cli[0], "summary": {"E_omega": (1.0).hex()}}]
+    assert gt.diff("cli", moved, cli) == [
+        "cli[0] simulate --example 3: changed", "  summary.E_omega: 0.0 -> 1.0"]
+    assert gt.diff("cli", [], cli) == ["cli: 0 records, 1 committed"]

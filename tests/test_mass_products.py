@@ -103,8 +103,8 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
             _hex(energy_report(sys_, rec.state, fresh(rec.state), dt_fd))
         e_mid, e_new, rel = step_energy_audit(sys_, rec, 0.25)
         assert [e_mid.hex(), e_new.hex(), rel.hex()] == [
-            energy_report(sys_, rec.intermediate, fresh(rec.intermediate)).total.hex(),
-            energy_report(sys_, rec.state, fresh(rec.state)).total.hex(),
+            energy_report(sys_, rec.intermediate, fresh(rec.intermediate), dt_fd).total.hex(),
+            energy_report(sys_, rec.state, fresh(rec.state), dt_fd).total.hex(),
             step1_energy_residual(sys_, rec.previous, rec.intermediate, 0.25)[2].hex()]
     assert [norms for _, norms in handed.buffer] == [norms for _, norms in alone.buffer]
     assert sorted(handed.gaps) == [2, 3]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stokes0d import StepConfig, build_case, params_for, run, splitting
+from stokes0d import StepConfig, build_case, cases, params_for, run, splitting
 from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.splitting import _dissection_keys
 
@@ -37,8 +37,10 @@ def step_records(case, dt, n_steps, state=None, s_sub=5):
     return records
 
 
-def total_energy(system, state):
-    return energy_report(system, state, system.mass_products(state.velocities)).total
+def total_energy(case, state):
+    system = case.system
+    return energy_report(system, state, system.mass_products(state.velocities),
+                         1e-6 * case.tau).total
 
 
 def test_zero_state_zero_forcing_stays_zero():
@@ -99,8 +101,12 @@ def test_step1_flow_direction_from_circuit_pressure():
     assert rel <= 1e-8
 
 
-def test_step1_energy_identity_with_forcing():
-    case = coarse_case()
+@pytest.mark.parametrize("example, nonlinear",
+                         [(1, False), (1, True), (2, False), (3, False)])
+def test_step1_energy_identity_with_forcing(example, nonlinear):
+    # the load power reads the merged load alone: body force and, on
+    # benchmark 1's one and benchmark 2's two external sides, the traction
+    case = coarse_case(example, nonlinear=nonlinear)
     for rec in step_records(case, 0.01, 5):
         _, _, rel = step1_energy_residual(case.system, rec.previous, rec.intermediate, 0.01)
         assert rel <= 1e-8
@@ -181,10 +187,10 @@ def test_step2_preserves_fields_bitwise():
 def test_energy_chain_three_decades_of_dt():
     case = coarse_case(zero_forcing=True)
     for dt in (0.1, 1.0, 10.0):
-        e = e0 = total_energy(case.system, case.initial_state())
+        e = e0 = total_energy(case, case.initial_state())
         for rec in step_records(case, dt, 10):
-            e_mid = total_energy(case.system, rec.intermediate)
-            e_new = total_energy(case.system, rec.state)
+            e_mid = total_energy(case, rec.intermediate)
+            e_new = total_energy(case, rec.state)
             assert e_mid <= e + 1e-12 * e0
             assert e_new <= e_mid + 1e-12 * e0
             e = e_new
@@ -208,7 +214,8 @@ def test_observers_see_each_step():
 
     def obs(record):
         seen.append((record.step, record.state.t, record.state.interfaces[(1, 1, 1)].Q,
-                     energy_report(case.system, record.state, record.mass_products).total))
+                     energy_report(case.system, record.state, record.mass_products,
+                                   1e-6 * case.tau).total))
 
     run_from(case, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
     assert [s[0] for s in seen] == [0, 1, 2]
@@ -387,14 +394,17 @@ def test_step_times_are_the_steps_clocks():
 @pytest.mark.parametrize("example, nonlinear",
                          [(1, False), (1, True), (2, False), (3, False)])
 def test_time_only_inputs_broadcast_bitwise(example, nonlinear):
-    # load coefficients and external pressures take an array of times; each
-    # entry equals the scalar evaluation bitwise, and the shape is np.shape(t)
+    # the load's coefficients, the external pressure's among them, take an
+    # array of times; each entry equals the scalar evaluation bitwise, and
+    # the shape is np.shape(t)
     case = coarse_case(example, nonlinear=nonlinear, nx=4, ny=2)
     times = np.linspace(-0.3, 2.9, 12).reshape(3, 4)
     scalars = times.ravel().tolist()
     for dom, dex in zip(case.system.domains, case.exact.domains):
-        pbars = [f for f in (dom.pbar, dex.pbar) if f is not None]
+        pbars = [] if dex.pbar is None else [dex.pbar]
         coefficient_fns = [c for c, _ in dex.force] + dom.body_load.coeffs
+        # one coefficient per force term, and one for the external side
+        assert len(dom.body_load.coeffs) == len(dex.force) + len(pbars)
         for f in pbars + coefficient_fns:
             values = np.asarray(f(times))
             assert values.shape == times.shape
@@ -405,7 +415,7 @@ def test_time_only_inputs_broadcast_bitwise(example, nonlinear):
         for row, t in zip(rows.reshape(-1, rows.shape[-1]), scalars):
             assert row.tobytes() == dom.body_load.coefficients(t).tobytes()
             assert dom.body_load.vector(row).tobytes() == dom.body_load(t).tobytes()
-    assert (example == 3) == all(dom.pbar is None for dom in case.system.domains)
+    assert (example == 3) == all(dex.pbar is None for dex in case.exact.domains)
 
 
 def test_time_only_inputs_of_the_wrong_shape_are_rejected():
@@ -413,12 +423,17 @@ def test_time_only_inputs_of_the_wrong_shape_are_rejected():
     sys_ = case.system
     ends = splitting.step_times(0.0, 0.1, 3)[1:]
     dom, spec = sys_.domains[0], sys_.circuit
-    with pytest.raises(ValueError, match="domain 1: pbar"):
-        splitting.stage1_loads(splitting.CoupledSystem(
-            [dataclasses.replace(dom, pbar=lambda t: 1.0)], spec), ends)
-    dom.body_load.coeffs.append(lambda t: 2.0)
+    # an external pressure that does not broadcast: the term after the two
+    # force terms
+    load = cases.TimeSeparableLoad(dom.space, dom.ops, case.exact.domains[0].force,
+                                   lambda t: 1.0)
     with pytest.raises(ValueError,
                        match=r"time coefficient 2 of times shaped \(3,\) has shape \(\)"):
+        splitting.stage1_loads(splitting.CoupledSystem(
+            [dataclasses.replace(dom, body_load=load)], spec), ends)
+    dom.body_load.coeffs.append(lambda t: 2.0)
+    with pytest.raises(ValueError,
+                       match=r"time coefficient 3 of times shaped \(3,\) has shape \(\)"):
         splitting.stage1_loads(sys_, ends)
     flat = dataclasses.replace(spec, s=lambda t: np.zeros(spec.dim))
     with pytest.raises(ValueError,

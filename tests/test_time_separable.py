@@ -90,12 +90,16 @@ def test_point_values_and_interpolants_match_the_summed_field(cases_20x4, key):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_loads_match_the_sum_of_assembled_profiles(cases_20x4, key):
+    # the body force, then the external side's traction -pbar(t) sigma:
+    # F + (-p) sigma equals F - p sigma bitwise
     case = cases_20x4[key]
     rho = case.params.rho
     for dom, dex in zip(case.system.domains, case.exact.domains):
         vectors = [assemble_body_force(dom.space, g) for _, g in dex.force]
         for t in TIMES:
             want = separable_sum([rho * c(t) for c, _ in dex.force], vectors)
+            if dex.pbar is not None:
+                want = want - dex.pbar(t) * dom.ops.sigma
             assert dom.body_load(t).tobytes() == want.tobytes()
 
 
@@ -138,5 +142,6 @@ def test_a_coefficient_that_does_not_broadcast_is_named():
     with pytest.raises(ValueError, match=message):
         error_norms(case.system, states, exact, 0.1)
     with pytest.raises(ValueError, match=message):
-        cases.TimeSeparableLoad(case.system.domains[0].space, terms).coefficients(
+        dom = case.system.domains[0]
+        cases.TimeSeparableLoad(dom.space, dom.ops, terms, None).coefficients(
             np.array([0.0, 0.1]))
