@@ -8,8 +8,7 @@ recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
 `step_energy_audit` gives the energy chain and that residual of one step
 from a single pass over the flow regions.  The kinetic energies read the
-mass products M v that are formed once per state and handed on in
-`splitting.run`'s step records.
+mass products M v that each state carries.
 """
 from __future__ import annotations
 
@@ -35,19 +34,18 @@ class EnergyReport:
         return self.e_omega + self.e_ups
 
 
-def _kinetic_energy(system, velocities, mass_products) -> float:
-    """(1/2) sum of rho (v, M v) over the flow regions, given the M v."""
+def _kinetic_energy(system, state) -> float:
+    """(1/2) sum of rho (v, M v) over the flow regions."""
     e = 0.0
-    for dom, v, mv in zip(system.domains, velocities, mass_products):
+    for dom, v, mv in zip(system.domains, state.velocities, state.mass_products):
         e += 0.5 * dom.rho * float(v @ mv)
     return e
 
 
-def energy_report(system, state, mass_products, dt_fd: float) -> EnergyReport:
-    """The energy terms of one state; `mass_products` are its velocities'
-    M v (`CoupledSystem.mass_products`), and `dt_fd` the time step of the
+def energy_report(system, state, dt_fd: float) -> EnergyReport:
+    """The energy terms of one state; `dt_fd` is the time step of the
     central difference that gives u_ups its -1/2 dU/dt term."""
-    e_om = _kinetic_energy(system, state.velocities, mass_products)
+    e_om = _kinetic_energy(system, state)
     d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
         d_om += dom.mu * float(v @ (dom.ops.K @ v))
@@ -59,11 +57,21 @@ def energy_report(system, state, mass_products, dt_fd: float) -> EnergyReport:
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up)
 
 
-def _step1_balance(system, previous, intermediate, dt: float, mass_products):
+def step1_energy_residual(system, previous, intermediate, dt: float):
+    """Both sides of the stage-1 discrete energy identity and their gap.
+
+    With v* and y* the intermediate solution, the scheme satisfies exactly
+
+      (1/dt)(rho ||v*||^2 + ||U^{1/2} y*||^2) + mu ||grad v*||^2 + sum R Q*^2
+        = (1/dt)(rho (v^n, v*) + (y^n)^T U y* ) + forcing power,
+
+    the unhalved-norm form that the stability proof chains through Young's
+    inequality.  Returns (lhs, rhs, relative residual).
+    """
     t_new = previous.t + dt
     lhs = rhs = 0.0
     for dom, vn, vs, mvs in zip(system.domains, previous.velocities,
-                                intermediate.velocities, mass_products):
+                                intermediate.velocities, intermediate.mass_products):
         lhs += (dom.rho / dt) * float(vs @ mvs) + dom.mu * float(vs @ (dom.ops.K @ vs))
         rhs += (dom.rho / dt) * float(vn @ mvs)
         if dom.body_load is not None:
@@ -78,33 +86,17 @@ def _step1_balance(system, previous, intermediate, dt: float, mass_products):
     return lhs, rhs, rel
 
 
-def step1_energy_residual(system, previous, intermediate, dt: float):
-    """Both sides of the stage-1 discrete energy identity and their gap.
-
-    With v* and y* the intermediate solution, the scheme satisfies exactly
-
-      (1/dt)(rho ||v*||^2 + ||U^{1/2} y*||^2) + mu ||grad v*||^2 + sum R Q*^2
-        = (1/dt)(rho (v^n, v*) + (y^n)^T U y* ) + forcing power,
-
-    the unhalved-norm form that the stability proof chains through Young's
-    inequality.  Returns (lhs, rhs, relative residual).
-    """
-    return _step1_balance(system, previous, intermediate, dt,
-                          system.mass_products(intermediate.velocities))
-
-
 def step_energy_audit(system, record, dt: float):
     """(E^{n+1/2}, E^{n+1}, stage-1 identity residual) of one step record.
 
     The same as the totals of `energy_report` on the intermediate and the new
-    state and the residual of `step1_energy_residual`, with the record's
-    M v* and one K v* per flow region: stage 2 hands the velocities on
-    unchanged, so both energies share their kinetic part.
+    state and the residual of `step1_energy_residual`, with one K v* per
+    flow region: stage 2 hands the velocities on unchanged, so both
+    energies share their kinetic part.
     """
     mid = record.intermediate
-    mvs = record.mass_products
-    _, _, rel = _step1_balance(system, record.previous, mid, dt, mvs)
-    e_flow = _kinetic_energy(system, mid.velocities, mvs)
+    _, _, rel = step1_energy_residual(system, record.previous, mid, dt)
+    e_flow = _kinetic_energy(system, mid)
     new = record.state
     return (e_flow + energy(system.circuit, mid.y, mid.t),
             e_flow + energy(system.circuit, new.y, new.t), rel)

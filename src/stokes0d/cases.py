@@ -87,7 +87,8 @@ class Case:
             prs.append(TimeSeparable(dex.pressure, partial(interpolate_pressure, d.space))(0.0))
         ifs = {iid: InterfaceValues(float(ie.P(0.0)), float(ie.Q(0.0)), float(ie.pi(0.0)))
                for iid, ie in self.exact.interfaces.items()}
-        return CoupledState(vels, prs, self.exact.y(0.0), ifs, 0.0)
+        return CoupledState(vels, prs, self.exact.y(0.0), ifs, 0.0,
+                            self.system.mass_products(vels))
 
 
 def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int = 20,
@@ -99,8 +100,6 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
     circuit coefficients that is the setting in which the total discrete
     energy must decay monotonically for every time step.
     """
-    if nonlinear and example != 1:
-        raise ValueError(f"only example 1 has a nonlinear variant, got example={example}")
     p = params if params is not None else params_for(example)
     p.check_circuit_elements()
     exact = exact_for(example, nonlinear=nonlinear, params=p)

@@ -60,23 +60,20 @@ class CircuitSpec:
             raise ValueError("pi index outside state vector")
 
 
-def eval_B(spec: CircuitSpec, y, t, dt_fd: float | None = None) -> np.ndarray:
+def eval_B(spec: CircuitSpec, y, t, dt_fd: float) -> np.ndarray:
     """Dissipation tensor B = -U A - (1/2) dU/dt at the given state.
 
-    The dU/dt term is a central difference along the interior dynamics when
-    `dt_fd` is given (exactly zero for a constant U), and is dropped otherwise.
+    The dU/dt term is a central difference of step `dt_fd` along the
+    interior dynamics (exactly zero for a constant U).
     """
+    if dt_fd <= 0:
+        raise ValueError("dt_fd must be positive")
     y = np.asarray(y, dtype=float)
     A = spec.A(y, t)
-    B = -np.diag(spec.U(y, t)) @ A
-    if dt_fd is not None:
-        if dt_fd <= 0:
-            raise ValueError("dt_fd must be positive")
-        f = A @ y + spec.s(t)
-        up = spec.U(y + dt_fd * f, t + dt_fd)
-        dn = spec.U(y - dt_fd * f, t - dt_fd)
-        B -= 0.5 * np.diag((up - dn) / (2.0 * dt_fd))
-    return B
+    f = A @ y + spec.s(t)
+    up = spec.U(y + dt_fd * f, t + dt_fd)
+    dn = spec.U(y - dt_fd * f, t - dt_fd)
+    return -np.diag(spec.U(y, t)) @ A - 0.5 * np.diag((up - dn) / (2.0 * dt_fd))
 
 
 def energy(spec: CircuitSpec, y, t) -> float:

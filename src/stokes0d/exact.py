@@ -249,12 +249,14 @@ def example3_exact(p: Example3Params | None = None) -> ExactSolutionSet:
 
 
 def exact_for(example: int, nonlinear: bool = False, params=None) -> ExactSolutionSet:
+    if nonlinear and example != 1:
+        raise ValueError(f"only example 1 has a nonlinear variant, got example={example}")
     if example == 1:
-        return example1_exact(params or Example1Params(), nonlinear)
+        return example1_exact(params, nonlinear)
     if example == 2:
-        return example2_exact(params or Example2Params())
+        return example2_exact(params)
     if example == 3:
-        return example3_exact(params or Example3Params())
+        return example3_exact(params)
     raise ValueError(f"example must be 1, 2 or 3, got {example}")
 
 

@@ -23,7 +23,7 @@ from .analysis import (EnergyReport, ErrorReport, convergence_rate,  # noqa: F40
                        energy_report, error_norms, step1_energy_residual,
                        step_energy_audit)
 from .cases import Case
-from .splitting import StepConfig, check_positive
+from .splitting import CoupledState, StepConfig, check_positive
 
 
 def periods_per_tau(tau: float, dt: float) -> int:
@@ -64,10 +64,14 @@ class _PeriodTracker:
         d = state.y - prev.y
         yield float(d @ d), float(prev.y @ prev.y)
 
-    def push(self, state, mass_products) -> None:
-        """Take the next state; `mass_products` are its velocities' M v."""
-        self.buffer.append((state, [float(v @ mv) for v, mv
-                                    in zip(state.velocities, mass_products)]))
+    def push(self, state) -> None:
+        """Take the next state.  The buffer keeps it with v.(M v), all it
+        reads of the mass products, and without the products themselves: a
+        period of them would double the memory the velocities take."""
+        norms = [float(v @ mv) for v, mv in zip(state.velocities, state.mass_products)]
+        kept = CoupledState(state.velocities, state.pressures, state.y,
+                            state.interfaces, state.t, None)
+        self.buffer.append((kept, norms))
         i = self.count
         self.count += 1
         if i < self.n_per:
@@ -104,7 +108,8 @@ class SimulateResult:
     periods: int
     gaps: dict
     series: list
-    last_period: Optional[list]     # the states of the last recorded period
+    last_period: Optional[list]     # the states of the last recorded period,
+                                    # without their mass products
     final_state: object
     errors: Optional[ErrorReport] = None
 
@@ -133,33 +138,29 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
 
     series: list = []
 
-    def record_series(state, mass_products):
+    def record_series(state):
         series.append(SeriesRow(state.t, state.interfaces, state.y,
-                                energy_report(system, state, mass_products, dt_fd)))
+                                energy_report(system, state, dt_fd)))
 
-    mass_products = system.mass_products(state.velocities)
     if collect_series:
-        record_series(state, mass_products)
+        record_series(state)
     if max_periods == 0:
         return SimulateResult(case, dt, s_sub, n_tau, False, 0, {}, series, None, state)
 
     tracker = _PeriodTracker(system, n_tau)
-    tracker.push(state, mass_products)
+    tracker.push(state)
 
     def on_step(record):
-        nonlocal mass_products      # the last record's M v starts the next run
-        mass_products = record.mass_products
-        tracker.push(record.state, record.mass_products)
+        tracker.push(record.state)
         if collect_series:
-            record_series(record.state, record.mass_products)
+            record_series(record.state)
         for obs in extra_observers:
             obs(record)
 
     converged = False
     periods = 0
     for p in range(1, max_periods + 1):
-        state = splitting.run(system, state, config, n_tau, mass_products,
-                              observers=(on_step,))
+        state = splitting.run(system, state, config, n_tau, observers=(on_step,))
         periods = p
         gap = tracker.gaps.get(p)
         if gap is not None and gap < eps_per:
@@ -198,8 +199,7 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
     config = StepConfig(dt, s_sub)
     state = case.initial_state()
 
-    mass_products = system.mass_products(state.velocities)
-    e_prev = energy_report(system, state, mass_products, 1e-6 * case.tau).total
+    e_prev = energy_report(system, state, 1e-6 * case.tau).total
     e0 = e_prev
     max_inc = -np.inf
     chain_viol = -np.inf
@@ -214,8 +214,8 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
         max_resid = float(np.max([max_resid, rel]))
         e_prev = e_new
 
-    splitting.run(system, state, config, n_steps, mass_products,
-                  observers=(on_step,), explicit_pi=explicit_pi)
+    splitting.run(system, state, config, n_steps, observers=(on_step,),
+                  explicit_pi=explicit_pi)
     return StabilityReport(dt, n_steps, e0, max_inc, chain_viol, max_resid)
 
 

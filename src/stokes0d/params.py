@@ -24,7 +24,14 @@ class _CommonParams:
     s0: float = 2.0           # mean of the periodic drive
     s1: float = 1.0           # amplitude of the periodic drive
 
+    PHYSICAL = ("H", "L", "rho", "mu", "omega")     # divided by, so positive
     CIRCUIT_ELEMENTS = ()     # names of the resistances, capacitances, inductances
+
+    def __post_init__(self):
+        bad = [f"{n}={getattr(self, n)}" for n in self.PHYSICAL
+               if not getattr(self, n) > 0]
+        if bad:
+            raise ValueError(f"physical parameters must be positive: {', '.join(bad)}")
 
     @property
     def tau(self) -> float:

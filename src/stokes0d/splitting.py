@@ -28,10 +28,11 @@ The stage-1 matrix does not depend on time, so it is factorized once per
 numbered in their elimination order, nested dissection of each domain's
 quadratic node grid, once per system for every dt and variant.
 
-`run` is the only producer of a step's inputs.  It takes the mass product
-M v of its start state from the caller, forms that of each new state once
-per domain and hands it on in the step record: the next stage-1 right-hand
-side and the observers' kinetic energies and norms all read it.
+`run` is the only producer of a step's inputs.  Each state carries the mass
+products M v of its velocities, formed once by the code that forms the
+velocities: stage 1 for a new state, stage 2 hands them on with the
+velocities.  The next stage-1 right-hand side and the observers' kinetic
+energies and norms all read them from the state.
 """
 from __future__ import annotations
 
@@ -75,6 +76,9 @@ class CoupledState:
     y: np.ndarray               # the circuit state
     interfaces: dict            # interface_id -> InterfaceValues
     t: float
+    # M v of each velocity (CoupledSystem.mass_products); None only on the
+    # states a run's period tracker keeps, `SimulateResult.last_period`
+    mass_products: Optional[list]
 
 
 def check_positive(name: str, value: float) -> None:
@@ -150,7 +154,8 @@ class CoupledSystem:
         prs = [np.zeros(d.space.n_pressure) for d in self.domains]
         ifs = {c.interface_id: InterfaceValues(0.0, 0.0, 0.0)
                for _, c in self.connections}
-        return CoupledState(vels, prs, np.zeros(self.circuit.dim), ifs, 0.0)
+        return CoupledState(vels, prs, np.zeros(self.circuit.dim), ifs, 0.0,
+                            self.mass_products(vels))
 
     def mass_products(self, velocities) -> list:
         """M v of each domain's velocity."""
@@ -255,19 +260,18 @@ class _Step1Solver:
         return (f"{len(self.system.domains)} domain(s) with interfaces [{ifs}] "
                 f"at dt={self.dt}")
 
-    def solve(self, state: CoupledState, loads, mass_products) -> CoupledState:
+    def solve(self, state: CoupledState, loads) -> CoupledState:
         """Stage 1 from `state`, with `loads` the step's slice of
-        `stage1_loads` (each domain's load coefficients, or None) and
-        `mass_products` its velocities' M v.  The momentum rows take
-        (M v)[free], which is Mff v[free] bit for bit: csr_matvec sums each
-        row in stored order, and a computed velocity is exactly 0 on the
-        walls (the benchmarks' initial data, ~1e-32 there, stay below the
-        sums' last bit)."""
+        `stage1_loads` (each domain's load coefficients, or None).  The
+        momentum rows take the state's (M v)[free], which is Mff v[free]
+        bit for bit: csr_matvec sums each row in stored order, and a
+        computed velocity is exactly 0 on the walls (the benchmarks'
+        initial data, ~1e-32 there, stay below the sums' last bit)."""
         sys_, layout = self.system, self.layout
         rhs = np.zeros(self.n)
         for d, (dom, coefficients) in enumerate(zip(sys_.domains, loads)):
             free = dom.space.free
-            r = (dom.rho / self.dt) * mass_products[d][free]
+            r = (dom.rho / self.dt) * state.mass_products[d][free]
             if coefficients is not None:
                 r += dom.body_load.vector(coefficients)[free]
             rhs[layout.velocity[d]] = r
@@ -298,7 +302,7 @@ class _Step1Solver:
             pi = float(x[layout.pi[b]])
             y[conn.pi_index] = pi
             interfaces[conn.interface_id] = InterfaceValues(pi + conn.resistance * Q, Q, pi)
-        return CoupledState(vels, prs, y, interfaces, state.t)
+        return CoupledState(vels, prs, y, interfaces, state.t, sys_.mass_products(vels))
 
 
 # A run evaluates its time-only inputs for at most this many steps at once,
@@ -334,28 +338,27 @@ def stage2_sources(system: CoupledSystem, starts: np.ndarray, dt: float,
 
 
 def step1(system: CoupledSystem, state: CoupledState, dt: float,
-          explicit_pi: bool, loads, mass_products) -> CoupledState:
+          explicit_pi: bool, loads) -> CoupledState:
     """Stage 1: one implicit step of the flow/interface subsystem.
 
     Returns the intermediate state: velocities and pressures at the new
     time level, the circuit's node pressures updated, its remaining entries
     copied unchanged.  The state's clock still marks the interval start;
-    stage 2 advances it.  `loads` is this step's slice of `stage1_loads`
-    and `mass_products` the M v of the state's velocities, as `run` hands
-    them over.
+    stage 2 advances it.  `loads` is this step's slice of `stage1_loads`,
+    as `run` hands it over.
     """
-    return system.step1_solver(dt, explicit_pi).solve(state, loads, mass_products)
+    return system.step1_solver(dt, explicit_pi).solve(state, loads)
 
 
 def step2(system: CoupledSystem, state: CoupledState, dt: float,
           s_sub: int, sources) -> CoupledState:
-    """Stage 2: interior circuit dynamics; velocities and pressures are
-    reused as-is (bitwise), only the circuit state and the clock move.
-    `sources` is this step's (s_sub, dim) slice of `stage2_sources`, as
-    `run` hands it over."""
+    """Stage 2: interior circuit dynamics; velocities, their mass products
+    and pressures are reused as-is (bitwise), only the circuit state and the
+    clock move.  `sources` is this step's (s_sub, dim) slice of
+    `stage2_sources`, as `run` hands it over."""
     y = step2_integrate(system.circuit, state.y, state.t, s_sub, dt / s_sub, sources)
     return CoupledState(state.velocities, state.pressures, y,
-                        state.interfaces, state.t + dt)
+                        state.interfaces, state.t + dt, state.mass_products)
 
 
 @dataclass
@@ -365,17 +368,13 @@ class StepRecord:
     previous: CoupledState
     intermediate: CoupledState
     state: CoupledState
-    mass_products: list     # M v of the new velocities, which stage 2 hands
-                            # on unchanged: those of `intermediate` too
 
 
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
-        n_steps: int, mass_products, observers=(),
-        explicit_pi: bool = False) -> CoupledState:
+        n_steps: int, observers=(), explicit_pi: bool = False) -> CoupledState:
     """Apply step1 then step2 n_steps times, invoking observers after each
-    step; `mass_products` is the start state's M v, as the caller holds it.
-    The time-only inputs of up to BLOCK_STEPS steps are evaluated at once,
-    on the clock of the block's first state."""
+    step.  The time-only inputs of up to BLOCK_STEPS steps are evaluated at
+    once, on the clock of the block's first state."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     dt, s_sub = config.dt, config.s_sub
@@ -386,10 +385,9 @@ def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
         sources = stage2_sources(system, times[:-1], dt, s_sub)
         for k in range(n_block):
             step_loads = [None if c is None else c[k] for c in loads]
-            mid = step1(system, state, dt, explicit_pi, step_loads, mass_products)
+            mid = step1(system, state, dt, explicit_pi, step_loads)
             new = step2(system, mid, dt, s_sub, sources[k])
-            mass_products = system.mass_products(new.velocities)
-            record = StepRecord(first + k, state, mid, new, mass_products)
+            record = StepRecord(first + k, state, mid, new)
             for obs in observers:
                 obs(record)
             state = new

@@ -86,10 +86,10 @@ def _hex(x) -> str:
 
 
 def state_digest(state) -> str:
-    """sha256 over the clock, every array's little-endian bytes and the
-    interface values in interface order."""
+    """sha256 over the clock, every array's little-endian bytes (the mass
+    products among them) and the interface values in interface order."""
     h = hashlib.sha256(_hex(state.t).encode())
-    for arrays in (state.velocities, state.pressures, [state.y]):
+    for arrays in (state.velocities, state.pressures, [state.y], state.mass_products):
         for a in arrays:
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     for iid in sorted(state.interfaces):

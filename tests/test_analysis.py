@@ -21,9 +21,7 @@ def coarse_case(example=1, **kw):
 
 def full_energy_report(case, state):
     """Every energy term of `state`, u_ups with its -1/2 dU/dt term."""
-    system = case.system
-    return energy_report(system, state, system.mass_products(state.velocities),
-                         1e-6 * case.tau)
+    return energy_report(case.system, state, 1e-6 * case.tau)
 
 
 def exact_states(case, times):
@@ -34,11 +32,10 @@ def exact_states(case, times):
     pressure = TimeSeparable(dex.pressure, partial(interpolate_pressure, dom.space))
     states = []
     for t in times:
-        st = case.initial_state()
-        st.velocities[0], st.pressures[0] = velocity(t), pressure(t)
-        st.y = case.exact.y(t)
-        st.t = t
-        states.append(st)
+        v = velocity(t)
+        states.append(dataclasses.replace(
+            case.initial_state(), velocities=[v], pressures=[pressure(t)],
+            y=case.exact.y(t), t=t, mass_products=case.system.mass_products([v])))
     return states
 
 
@@ -62,7 +59,7 @@ def test_energy_report_needs_the_difference_step():
     case = coarse_case(1, nonlinear=True, nx=8, ny=2)
     state = case.initial_state()
     with pytest.raises(TypeError):
-        energy_report(case.system, state, case.system.mass_products(state.velocities))
+        energy_report(case.system, state)
     assert abs(full_energy_report(case, state).u_ups - 90241.108237) <= 1e-6 * 90241.1
 
 
@@ -147,7 +144,8 @@ def test_error_norms_zero_for_exact_trajectory():
 
     # joint scaling of computed and exact fields leaves the errors unchanged
     doubled = [CoupledState([2.0 * v for v in s.velocities],
-                            [2.0 * p for p in s.pressures], s.y, {}, s.t)
+                            [2.0 * p for p in s.pressures], s.y, {}, s.t,
+                            [2.0 * mv for mv in s.mass_products])
                for s in states]
     exact2 = _scaled_exact(case.exact, 2.0)
     rep2 = error_norms(case.system, doubled, exact2, dt)
@@ -178,8 +176,7 @@ def test_error_norm_symmetry_constant_U():
     case = coarse_case(2)
     dt = 0.01
     start = case.initial_state()
-    state = run(case.system, start, StepConfig(dt, 10), 3,
-                case.system.mass_products(start.velocities))
+    state = run(case.system, start, StepConfig(dt, 10), 3)
     spec = case.system.circuit
     t = state.t
     U = np.sqrt(spec.U(state.y, t))
@@ -228,7 +225,7 @@ def test_streaming_gap_matches_module_function():
                              collect_series=False)
     assert res.errors is None
     run(case.system, state, StepConfig(0.05, case.s_sub), 3 * n_per,
-        case.system.mass_products(state.velocities), observers=(collect,))
+        observers=(collect,))
     for p in (2, 3):
         ref = periodicity_gap(case.system, states[:p * n_per + 1], n_per)
         assert abs(res.gaps[p] - ref) <= 1e-12 * max(ref, 1e-30)
@@ -358,8 +355,7 @@ def test_stability_run_matches_full_energy_reports(unforced_20x4, key, dt, expli
         fold["resid"] = float(np.max([fold["resid"], rel]))
         fold["e_prev"] = e_new
 
-    run(case.system, state, StepConfig(dt, case.s_sub), n_steps,
-        case.system.mass_products(state.velocities), observers=(audit,),
+    run(case.system, state, StepConfig(dt, case.s_sub), n_steps, observers=(audit,),
         explicit_pi=explicit_pi)
     rep = stability_run(case, dt, n_steps, explicit_pi=explicit_pi)
     expected = [e0, fold["inc"], fold["chain"], fold["resid"]]

@@ -50,9 +50,7 @@ def test_one_stage2_call_integrates_every_substep(monkeypatch):
 
     monkeypatch.setattr(splitting, "step2_integrate", spy)
     case = build_case(3, nx=8, ny=2)
-    start = case.initial_state()
-    splitting.run(case.system, start, splitting.StepConfig(0.01, 5), 1,
-                  case.system.mass_products(start.velocities))
+    splitting.run(case.system, case.initial_state(), splitting.StepConfig(0.01, 5), 1)
     assert calls == [5]
 
 

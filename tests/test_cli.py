@@ -90,6 +90,12 @@ def test_config_parse_errors(tmp_path, capsys):
     ("sub = 2.5", ["--sub", "2.5"], "sub"),
     ("set.R_b = abc", ["--set", "R_b=abc"], "R_b"),
     ("set.R_b", ["--set", "R_b"], "R_b"),
+    # divided by somewhere, so rejected by name before anything runs
+    ("set.omega = 0", ["--set", "omega=0"], "omega=0.0"),
+    ("set.H = 0", ["--set", "H=0"], "H=0.0"),
+    ("set.rho = -1", ["--set", "rho=-1"], "rho=-1.0"),
+    ("set.mu = -1", ["--set", "mu=-1"], "mu=-1.0"),
+    ("set.L = 0", ["--set", "L=0"], "L=0.0"),
 ])
 def test_bad_setting_exits_2_naming_its_key(tmp_path, capsys, line, flags, key):
     # the same mistake as a config line and as a flag, to simulate, which
@@ -217,6 +223,15 @@ def test_verify_oracle_corrupted_override(capsys):
     out = capsys.readouterr().out
     assert rc != 0
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("override", ["omega=0", "H=0", "rho=-1", "mu=-1", "L=0"])
+def test_verify_oracle_bad_physical_parameter_exits_2(capsys, override):
+    # a settings mistake, not an oracle failure
+    assert main(["verify-oracle", "--example", "1", *COARSE, "--set", override]) == 2
+    captured = capsys.readouterr()
+    key, _, value = override.partition("=")
+    assert f"{key}={float(value)}" in captured.err and captured.out == ""
 
 
 def test_simulate_writes_series_and_summary(tmp_path, capsys):

@@ -16,6 +16,14 @@ def at(terms, points, t):
     return TimeSeparable(terms, lambda g: g(points))(t)
 
 
+@pytest.mark.parametrize("example", [2, 3])
+def test_only_example1_has_a_nonlinear_variant(example):
+    with pytest.raises(ValueError, match="only example 1 has a nonlinear variant"):
+        exact_for(example, nonlinear=True)
+    with pytest.raises(ValueError, match="only example 1 has a nonlinear variant"):
+        build_case(example, nonlinear=True, nx=4, ny=2)
+
+
 def test_example1_values_at_t0():
     ex = example1_exact()
     P0 = 2.0 * (150.0 + 1000.0 * math.exp(-1.0))

@@ -137,7 +137,8 @@ def test_state_digest_sees_every_field():
     state = build_case(2, nx=4, ny=2).initial_state()
     base = gt.state_digest(state)
     changed = list(_changed_states(state))
-    assert len(changed) == 1 + 2 + 2 + 1 + 3 * 2    # t, velocities, pressures, y, P/Q/pi
+    # t, velocities, pressures, y, P/Q/pi, mass products
+    assert len(changed) == 1 + 2 + 2 + 1 + 3 * 2 + 2
     for what, other in changed:
         assert gt.state_digest(other) != base, what
     assert gt.state_digest(state) == base

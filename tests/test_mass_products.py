@@ -1,7 +1,12 @@
-"""One mass product per state: `splitting.run` forms M v of its start state
-and of each new state once and hands it on; stage 1, the period tracker, the
-series and the stability audit read it, and each gives the bits it gives
-with M v formed anew."""
+"""One mass product per state: whatever forms a state's velocities also
+forms their M v (the initial and zero states, stage 1), stage 2 hands it on
+with the velocities, and stage 1, the period tracker, the series and the
+stability audit read it from the state, each giving the bits it gives with
+M v formed anew.  A step with series makes five sparse products: the new
+state's M v (stage 1), the tracker's M d, Mp d and Mp prev, and the series'
+K v."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse._sparsetools as sparsetools
@@ -19,10 +24,16 @@ def _hex(report):
 
 def _records(example, nonlinear, dt=0.05, n_steps=6, nx=8, ny=2):
     case = build_case(example, nonlinear=nonlinear, nx=nx, ny=ny)
-    records, start = [], case.initial_state()
-    run(case.system, start, StepConfig(dt, case.s_sub), n_steps,
-        case.system.mass_products(start.velocities), observers=(records.append,))
+    records = []
+    run(case.system, case.initial_state(), StepConfig(dt, case.s_sub), n_steps,
+        observers=(records.append,))
     return case, records
+
+
+def _assert_formed_anew(system, state):
+    assert len(state.mass_products) == len(system.domains)
+    for dom, v, mv in zip(system.domains, state.velocities, state.mass_products):
+        assert mv.tobytes() == (dom.ops.M @ v).tobytes()
 
 
 @pytest.mark.parametrize("nx, ny", [(20, 4), (100, 20)])
@@ -40,28 +51,33 @@ def test_free_rows_of_the_mass_product_are_the_free_block_product(example, nonli
 
 
 @pytest.mark.parametrize("example, nonlinear", CASES)
+def test_initial_and_zero_states_carry_their_mass_products(example, nonlinear):
+    case = build_case(example, nonlinear=nonlinear, nx=8, ny=2)
+    _assert_formed_anew(case.system, case.initial_state())
+    _assert_formed_anew(case.system, case.system.zero_state())
+
+
+@pytest.mark.parametrize("example, nonlinear", CASES)
 def test_records_carry_the_mass_products_of_their_new_state(example, nonlinear):
     case, records = _records(example, nonlinear)
     for rec in records:
-        assert rec.intermediate.velocities is rec.state.velocities
-        assert len(rec.mass_products) == len(case.system.domains)
-        for dom, v, mv in zip(case.system.domains, rec.state.velocities,
-                              rec.mass_products):
-            assert mv.tobytes() == (dom.ops.M @ v).tobytes()
+        _assert_formed_anew(case.system, rec.intermediate)
+        # stage 2 hands on the velocities and their products unchanged
+        assert rec.state.velocities is rec.intermediate.velocities
+        assert rec.state.mass_products is rec.intermediate.mass_products
 
 
 @pytest.mark.parametrize("example, nonlinear", CASES)
 def test_stage1_reads_only_the_free_rows_of_a_handed_product(monkeypatch, example,
                                                              nonlinear):
     # stage 1 of every step of a run, the first included, gives the same
-    # bits with the M v that run hands it and with only Mff v[free] handed
-    # (NaN on the walls)
+    # bits from a state that carries only Mff v[free] (NaN on the walls)
     handed = []
     real = splitting.step1
 
-    def spy(system, state, dt, explicit_pi, loads, mass_products):
+    def spy(system, state, dt, explicit_pi, loads):
         handed.append((state, loads))
-        return real(system, state, dt, explicit_pi, loads, mass_products)
+        return real(system, state, dt, explicit_pi, loads)
 
     monkeypatch.setattr(splitting, "step1", spy)
     case, records = _records(example, nonlinear)
@@ -75,7 +91,7 @@ def test_stage1_reads_only_the_free_rows_of_a_handed_product(monkeypatch, exampl
             w = np.full(dom.space.n_velocity, np.nan)
             w[free] = dom.ops.M.tocsr()[free][:, free] @ v[free]
             free_block.append(w)
-        got = solver.solve(state, loads, free_block)
+        got = solver.solve(dataclasses.replace(state, mass_products=free_block), loads)
         want = rec.intermediate
         assert [v.tobytes() for v in got.velocities] == \
             [v.tobytes() for v in want.velocities]
@@ -86,29 +102,32 @@ def test_stage1_reads_only_the_free_rows_of_a_handed_product(monkeypatch, exampl
 
 @pytest.mark.parametrize("example, nonlinear", CASES)
 def test_observers_give_the_same_bits_with_and_without_handed_products(example, nonlinear):
-    # the record's M v against M v formed anew from each state
+    # each state's own M v against M v formed anew from its velocities
     case, records = _records(example, nonlinear, dt=0.25, n_steps=24)
     sys_, dt_fd = case.system, 1e-6 * case.tau
 
     def fresh(state):
-        return sys_.mass_products(state.velocities)
+        return dataclasses.replace(state, mass_products=[
+            dom.ops.M @ v for dom, v in zip(sys_.domains, state.velocities)])
 
-    handed, alone = _PeriodTracker(sys_, 8), _PeriodTracker(sys_, 8)
-    handed.push(case.initial_state(), fresh(case.initial_state()))
-    alone.push(case.initial_state(), fresh(case.initial_state()))
+    carried, alone = _PeriodTracker(sys_, 8), _PeriodTracker(sys_, 8)
+    carried.push(case.initial_state())
+    alone.push(fresh(case.initial_state()))
     for rec in records:
-        handed.push(rec.state, rec.mass_products)
-        alone.push(rec.state, fresh(rec.state))
-        assert _hex(energy_report(sys_, rec.state, rec.mass_products, dt_fd)) == \
-            _hex(energy_report(sys_, rec.state, fresh(rec.state), dt_fd))
+        carried.push(rec.state)
+        alone.push(fresh(rec.state))
+        assert _hex(energy_report(sys_, rec.state, dt_fd)) == \
+            _hex(energy_report(sys_, fresh(rec.state), dt_fd))
         e_mid, e_new, rel = step_energy_audit(sys_, rec, 0.25)
         assert [e_mid.hex(), e_new.hex(), rel.hex()] == [
-            energy_report(sys_, rec.intermediate, fresh(rec.intermediate), dt_fd).total.hex(),
-            energy_report(sys_, rec.state, fresh(rec.state), dt_fd).total.hex(),
-            step1_energy_residual(sys_, rec.previous, rec.intermediate, 0.25)[2].hex()]
-    assert [norms for _, norms in handed.buffer] == [norms for _, norms in alone.buffer]
-    assert sorted(handed.gaps) == [2, 3]
-    assert {p: g.hex() for p, g in handed.gaps.items()} == \
+            energy_report(sys_, fresh(rec.intermediate), dt_fd).total.hex(),
+            energy_report(sys_, fresh(rec.state), dt_fd).total.hex(),
+            step1_energy_residual(sys_, rec.previous, fresh(rec.intermediate), 0.25)[2].hex()]
+    assert [norms for _, norms in carried.buffer] == [norms for _, norms in alone.buffer]
+    # a period of kept states holds no mass products, only their norms
+    assert all(state.mass_products is None for state, _ in carried.buffer)
+    assert sorted(carried.gaps) == [2, 3]
+    assert {p: g.hex() for p, g in carried.gaps.items()} == \
         {p: g.hex() for p, g in alone.gaps.items()}
 
 

@@ -22,31 +22,24 @@ def coarse_case(example=1, **kw):
     return build_case(example, **kw)
 
 
-def run_from(case, state, config, n_steps, **kwargs):
-    """`run` from `state`, handed the M v of its velocities."""
-    return run(case.system, state, config, n_steps,
-               case.system.mass_products(state.velocities), **kwargs)
-
-
 def step_records(case, dt, n_steps, state=None, s_sub=5):
     """The StepRecords of a run of n_steps from `state` (the exact initial
     state by default)."""
     records = []
-    run_from(case, case.initial_state() if state is None else state,
-             StepConfig(dt, s_sub), n_steps, observers=(records.append,))
+    run(case.system, case.initial_state() if state is None else state,
+        StepConfig(dt, s_sub), n_steps, observers=(records.append,))
     return records
 
 
 def total_energy(case, state):
     system = case.system
-    return energy_report(system, state, system.mass_products(state.velocities),
-                         1e-6 * case.tau).total
+    return energy_report(system, state, 1e-6 * case.tau).total
 
 
 def test_zero_state_zero_forcing_stays_zero():
     case = coarse_case(zero_forcing=True)
     state = case.system.zero_state()
-    out = run_from(case, state, StepConfig(0.05, 5), 4)
+    out = run(case.system, state, StepConfig(0.05, 5), 4)
     assert all(np.max(np.abs(v)) == 0.0 for v in out.velocities)
     assert all(np.max(np.abs(p)) == 0.0 for p in out.pressures)
     assert np.max(np.abs(out.y)) == 0.0
@@ -199,11 +192,11 @@ def test_energy_chain_three_decades_of_dt():
 def test_run_zero_steps_and_determinism():
     case = coarse_case()
     state = case.initial_state()
-    out = run_from(case, state, StepConfig(0.01, 5), 0)
+    out = run(case.system, state, StepConfig(0.01, 5), 0)
     assert out is state
 
-    a = run_from(case, case.initial_state(), StepConfig(0.01, 5), 10)
-    b = run_from(case, case.initial_state(), StepConfig(0.01, 5), 10)
+    a = run(case.system, case.initial_state(), StepConfig(0.01, 5), 10)
+    b = run(case.system, case.initial_state(), StepConfig(0.01, 5), 10)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.velocities, b.velocities))
     assert a.y.tobytes() == b.y.tobytes()
 
@@ -214,10 +207,9 @@ def test_observers_see_each_step():
 
     def obs(record):
         seen.append((record.step, record.state.t, record.state.interfaces[(1, 1, 1)].Q,
-                     energy_report(case.system, record.state, record.mass_products,
-                                   1e-6 * case.tau).total))
+                     energy_report(case.system, record.state, 1e-6 * case.tau).total))
 
-    run_from(case, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
+    run(case.system, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
     assert [s[0] for s in seen] == [0, 1, 2]
     assert np.allclose([s[1] for s in seen], [0.01, 0.02, 0.03])
     assert all(np.isfinite(s[3]) for s in seen)
@@ -225,7 +217,7 @@ def test_observers_see_each_step():
 
 def test_multidomain_example2_runs():
     case = coarse_case(2)
-    state = run_from(case, case.initial_state(), StepConfig(0.01, 10), 5)
+    state = run(case.system, case.initial_state(), StepConfig(0.01, 10), 5)
     assert len(state.velocities) == 2
     for _, conn in case.system.connections:
         iv = state.interfaces[conn.interface_id]
@@ -243,7 +235,7 @@ def test_stage1_failure_identifies_interfaces(monkeypatch):
 
     monkeypatch.setattr(solver.factorization, "solve", boom)
     with pytest.raises(RuntimeError, match=r"\(1, 1, 1\)"):
-        run_from(case, case.initial_state(), StepConfig(0.01, 5), 1)
+        run(case.system, case.initial_state(), StepConfig(0.01, 5), 1)
 
 
 def test_dissection_of_a_line_of_nodes():
@@ -336,8 +328,8 @@ def test_binding_validation():
 
 def _assert_states_equal(a, b):
     assert a.t == b.t and a.interfaces == b.interfaces
-    for xs, ys in ((a.velocities, b.velocities), (a.pressures, b.pressures),
-                   ([a.y], [b.y])):
+    for xs, ys in ((a.velocities, b.velocities), (a.mass_products, b.mass_products),
+                   (a.pressures, b.pressures), ([a.y], [b.y])):
         assert len(xs) == len(ys)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
@@ -353,8 +345,8 @@ def test_run_never_mutates_a_state(example, nonlinear):
         for state in (record.previous, record.intermediate, record.state):
             seen.append((state, copy.deepcopy(state)))
 
-    run_from(case, case.initial_state(), StepConfig(0.01, case.s_sub), 20,
-             observers=(keep,))
+    run(case.system, case.initial_state(), StepConfig(0.01, case.s_sub), 20,
+        observers=(keep,))
     assert len(seen) == 60
     for state, snapshot in seen:
         _assert_states_equal(state, snapshot)
@@ -372,12 +364,11 @@ def test_run_equals_chained_steps_bytewise(monkeypatch, example, nonlinear, s_su
     sys_, config = case.system, StepConfig(0.03, s_sub)
     start = dataclasses.replace(case.initial_state(), t=0.37)
     seen = []
-    got = run_from(case, start, config, 7, observers=(seen.append,))
-    state, mass_products = start, sys_.mass_products(start.velocities)
+    got = run(case.system, start, config, 7, observers=(seen.append,))
+    state = start
     for rec in seen:
         one = []
-        state = run(sys_, state, config, 1, mass_products, observers=(one.append,))
-        mass_products = one[0].mass_products
+        state = run(sys_, state, config, 1, observers=(one.append,))
         _assert_states_equal(rec.intermediate, one[0].intermediate)
         _assert_states_equal(rec.state, state)
     assert len(seen) == 7 and [r.step for r in seen] == list(range(7))
