@@ -9,6 +9,13 @@ scheme satisfies step by step; its residual should sit at solver precision.
 `step_energy_audit` gives the energy chain and that residual of one step
 from a single pass over the flow regions.  The kinetic energies read the
 mass products M v that each state carries.
+
+The observers of many states, the error norms here and the period
+tracker of the harness, take their quadratic forms d.(M d) a chunk of
+consecutive states at a time: one sparse product of the mass matrix with
+the chunk's stacked vectors (`quadratic_forms`) in place of one product
+per vector, with the same bits.  A chunk holds at most CHUNK_BYTES of
+stacked vectors (`chunk_length`).
 """
 from __future__ import annotations
 
@@ -19,6 +26,35 @@ import numpy as np
 
 from .circuits import energy, eval_B
 from .fem import TimeSeparable, interpolate_pressure, interpolate_velocity
+
+
+# The largest stack of vectors that one chunk's sparse product takes: 29
+# states at 25x5, one state, and so no stack, at 100x20.
+CHUNK_BYTES = 256 * 1024
+
+
+def chunk_length(system, limit: int) -> int:
+    """States per chunk: as many of the system's longest field vectors as
+    fit in CHUNK_BYTES, at least 1 and at most `limit`."""
+    longest = max(max(dom.space.n_velocity, dom.space.n_pressure)
+                  for dom in system.domains)
+    return max(1, min(limit, CHUNK_BYTES // (8 * longest)))
+
+
+def quadratic_forms(M, vectors) -> list:
+    """d.(M d) of each of a sequence of contiguous vectors d, as floats;
+    the rows of a C-contiguous 2-D array are taken without a copy.
+
+    Several vectors take one product with M of their stack (scipy's
+    csr_matvecs), whose every column is csr_matvec of that vector bit for
+    bit: the same products summed in the same order.  Each dot product runs
+    on contiguous rows, so each form has the bits of float(d @ (M @ d)).
+    """
+    if len(vectors) == 1:
+        (d,) = vectors
+        return [float(d @ (M @ d))]
+    products = (M @ np.asarray(vectors).T).T.copy()
+    return [float(d @ md) for d, md in zip(vectors, products)]
 
 
 @dataclass(frozen=True)
@@ -117,7 +153,9 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
 
     with L2 norms for the fields (exact fields taken as their nodal
     interpolants) and the U^{1/2}-weighted Euclidean norm for the circuit
-    state, U evaluated at the respective state.
+    state, U evaluated at the respective state.  The forms are taken a
+    chunk of states at a time and the ratios summed state by state, domain
+    by domain within a state.
     """
     times = np.array([state.t for state in states])
     # each profile interpolated once and each coefficient evaluated once on
@@ -128,26 +166,35 @@ def error_norms(system, states, exact, dt: float) -> ErrorReport:
               for dom, dex in zip(system.domains, exact.domains)]
     spec = system.circuit
     sum_v = sum_p = sum_y = 0.0
-    for n, state in enumerate(states):
-        t = state.t
+    size = chunk_length(system, len(states))
+    for first in range(0, len(states), size):
+        chunk = states[first:first + size]
+        forms = []      # per domain, the four forms of each state of the chunk
         for l, dom in enumerate(system.domains):
-            uex, pex = (f.vector(c[n]) for f, c in fields[l])
-            du = state.velocities[l] - uex
-            dp = state.pressures[l] - pex
-            den_v = float(uex @ (dom.ops.M @ uex))
-            den_p = float(pex @ (dom.ops.Mp @ pex))
-            if den_v <= 0.0 or den_p <= 0.0:
-                raise ZeroDivisionError(f"exact field norm vanishes at t={t}")
-            sum_v += float(du @ (dom.ops.M @ du)) / den_v
-            sum_p += float(dp @ (dom.ops.Mp @ dp)) / den_p
-        yex = exact.y(t)
-        Uex = np.sqrt(spec.U(yex, t))
-        Uh = np.sqrt(spec.U(state.y, t))
-        dy = Uh * state.y - Uex * yex
-        den_y = float((Uex * yex) @ (Uex * yex))
-        if den_y <= 0.0:
-            raise ZeroDivisionError(f"exact state norm vanishes at t={t}")
-        sum_y += float(dy @ dy) / den_y
+            # one row per time: a column of coefficients times each profile
+            uex, pex = (f.vector(c[first:first + size].T[:, :, None])
+                        for f, c in fields[l])
+            du, dp = np.empty_like(uex), np.empty_like(pex)
+            for n, state in enumerate(chunk):
+                np.subtract(state.velocities[l], uex[n], out=du[n])
+                np.subtract(state.pressures[l], pex[n], out=dp[n])
+            forms.append((quadratic_forms(dom.ops.M, du), quadratic_forms(dom.ops.M, uex),
+                          quadratic_forms(dom.ops.Mp, dp), quadratic_forms(dom.ops.Mp, pex)))
+        for n, state in enumerate(chunk):
+            t = state.t
+            for num_v, den_v, num_p, den_p in forms:
+                if den_v[n] <= 0.0 or den_p[n] <= 0.0:
+                    raise ZeroDivisionError(f"exact field norm vanishes at t={t}")
+                sum_v += num_v[n] / den_v[n]
+                sum_p += num_p[n] / den_p[n]
+            yex = exact.y(t)
+            Uex = np.sqrt(spec.U(yex, t))
+            Uh = np.sqrt(spec.U(state.y, t))
+            dy = Uh * state.y - Uex * yex
+            den_y = float((Uex * yex) @ (Uex * yex))
+            if den_y <= 0.0:
+                raise ZeroDivisionError(f"exact state norm vanishes at t={t}")
+            sum_y += float(dy @ dy) / den_y
     return ErrorReport(np.sqrt(dt * sum_v), np.sqrt(dt * sum_p), np.sqrt(dt * sum_y))
 
 

@@ -15,12 +15,15 @@ positive definite B meaning the interior circuit only dissipates.
 subcycled implicit Euler with the nonlinear coefficients frozen at each
 substep's start state, which is the second half of the splitting scheme.
 It is handed the sources s of its substeps: the splitting evaluates s once
-for a whole block of steps.
+for a whole block of steps.  A circuit with a constant A carries it as an
+array, and stage 2 factors I - dt2 A once per substep size for the whole
+run; an A that depends on the state or the time is a callable, factored
+at every substep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -41,23 +44,35 @@ class Connection:
             raise ValueError("connection R and C must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitSpec:
     dim: int
-    A: Callable                 # (y, t) -> (dim, dim); a constant A returns
-                                # one array object, never changed in place
+    A: Union[np.ndarray, Callable]  # (dim, dim) array, kept read-only, or
+                                    # (y, t) -> (dim, dim) array
     U: Callable                 # (y, t) -> (dim,) positive diagonal entries
     s: Callable                 # t -> shape(t) + (dim,): generator sources,
                                 # one row per time of an array t, each equal
                                 # bitwise to s of that time alone
     connections: tuple
+    # dt2 -> dgetrf factors of I - dt2 A, for an array A
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if not callable(self.A):
+            A = np.array(self.A, dtype=float)
+            if A.shape != (self.dim, self.dim):
+                raise ValueError(f"A has shape {A.shape}, expected {(self.dim, self.dim)}")
+            A.setflags(write=False)
+            object.__setattr__(self, "A", A)
         idx = [c.pi_index for c in self.connections]
         if len(idx) != len(set(idx)):
             raise ValueError("pi indices must be unique within a circuit")
         if idx and (min(idx) < 0 or max(idx) >= self.dim):
             raise ValueError("pi index outside state vector")
+
+    def matrix(self, y, t) -> np.ndarray:
+        """A at the given state and time."""
+        return self.A(y, t) if callable(self.A) else self.A
 
 
 def eval_B(spec: CircuitSpec, y, t, dt_fd: float) -> np.ndarray:
@@ -69,7 +84,7 @@ def eval_B(spec: CircuitSpec, y, t, dt_fd: float) -> np.ndarray:
     if dt_fd <= 0:
         raise ValueError("dt_fd must be positive")
     y = np.asarray(y, dtype=float)
-    A = spec.A(y, t)
+    A = spec.matrix(y, t)
     f = A @ y + spec.s(t)
     up = spec.U(y + dt_fd * f, t + dt_fd)
     dn = spec.U(y - dt_fd * f, t - dt_fd)
@@ -82,6 +97,16 @@ def energy(spec: CircuitSpec, y, t) -> float:
     return 0.5 * float(y @ (spec.U(y, t) * y))
 
 
+def _factor(matrix: np.ndarray, t: float):
+    """dgetrf factors (lu, piv) of the matrix I - dt2 A of a substep ending
+    at t."""
+    lu, piv, info = dgetrf(matrix)
+    if info != 0:
+        raise RuntimeError(f"singular circuit step at t={t}: "
+                           f"LAPACK dgetrf info={info}")
+    return lu, piv
+
+
 def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
                     dt2: float, sources) -> np.ndarray:
     """Advance the interior dynamics from y at time t by n_sub implicit-Euler
@@ -91,8 +116,8 @@ def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
     with t_new the substep end time; nonlinear coefficients are frozen at
     the substep's start state y.  `sources` holds s(t_new) of every
     substep, shape (n_sub, dim): the caller evaluates s, for many steps at
-    once.  The LU factors of I - dt2 A are reused for as long as A returns
-    the same array object.
+    once.  An array A is factored once per dt2 and circuit, a callable A at
+    every substep.
     """
     if dt2 <= 0:
         raise ValueError("dt2 must be positive")
@@ -101,19 +126,20 @@ def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
     if np.shape(sources) != (n_sub, spec.dim):
         raise ValueError(f"sources of {n_sub} substeps have shape "
                          f"{np.shape(sources)}, expected {(n_sub, spec.dim)}")
-    times = t + np.arange(1, n_sub + 1) * dt2
-    eye = np.eye(spec.dim)
     y = np.asarray(y, dtype=float)
-    factored = None
-    for t_new, source in zip(times.tolist(), dt2 * sources):
-        A = spec.A(y, t_new)
-        if A is not factored:
-            lu, piv, info = dgetrf(eye - dt2 * A)
-            if info != 0:
-                raise RuntimeError(f"singular circuit step at t={t_new}: "
-                                   f"LAPACK dgetrf info={info}")
-            factored = A
-        y, _ = dgetrs(lu, piv, y + source)
+    increments = dt2 * sources
+    if not callable(spec.A):
+        if dt2 not in spec._factors:
+            spec._factors[dt2] = _factor(np.eye(spec.dim) - dt2 * spec.A, t + dt2)
+        lu, piv = spec._factors[dt2]
+        for increment in increments:
+            y, _ = dgetrs(lu, piv, y + increment)
+        return y
+    eye = np.eye(spec.dim)
+    times = t + np.arange(1, n_sub + 1) * dt2
+    for t_new, increment in zip(times.tolist(), increments):
+        lu, piv = _factor(eye - dt2 * spec.A(y, t_new), t_new)
+        y, _ = dgetrs(lu, piv, y + increment)
     return y
 
 
@@ -172,20 +198,17 @@ def example1_circuit(p: Example1Params, nonlinear: bool,
     p.check_circuit_elements()
     pt = p_tilde if p_tilde is not None else _zero_signal
 
-    def A(y, t):
-        if nonlinear:
-            Ra, Ca = resistance_a(y[0], p), capacitance_a(y[1], p)
-        else:
-            Ra, Ca = p.Rbar_a, p.Cbar_a
+    def matrix(Ra, Ca):
         return np.array([
             [-1.0 / (Ra * p.C11_1), 1.0 / (Ra * p.C11_1 * Ca)],
             [1.0 / Ra, -1.0 / (Ra * Ca) - 1.0 / (p.R_b * Ca)],
         ])
 
-    if not nonlinear:
-        # one array object, so stage 2 keeps its LU factors across substeps
-        Amat = A(None, 0.0)
-        A = lambda y, t: Amat
+    if nonlinear:
+        def A(y, t):
+            return matrix(resistance_a(y[0], p), capacitance_a(y[1], p))
+    else:
+        A = matrix(p.Rbar_a, p.Cbar_a)
 
     def U(y, t):
         Ca = capacitance_a(y[1], p) if nonlinear else p.Cbar_a
@@ -217,7 +240,7 @@ def example2_circuit(p: Example2Params, p_tilde: Callable | None = None) -> Circ
     )
     return CircuitSpec(
         3,
-        A=lambda y, t: Amat,
+        A=Amat,
         U=lambda y, t: Udiag,
         s=lambda t: _sources(t, 3, (1, pt(t) / (p.C21_1 * p.R_b))),
         connections=conns,
@@ -245,7 +268,7 @@ def example3_circuit(p: Example3Params, p_tilde_a: Callable | None = None,
     )
     return CircuitSpec(
         3,
-        A=lambda y, t: Amat,
+        A=Amat,
         U=lambda y, t: Udiag,
         s=lambda t: _sources(t, 3, (0, pa(t) / (p.R_a * p.C11_1)),
                              (1, pb(t) / (p.R_b * p.C11_2))),

@@ -299,7 +299,7 @@ def verify_exact(system, exact: ExactSolutionSet, times) -> OracleReport:
         for iid, conn in conns.items():
             b[conn.pi_index] += exact.interfaces[iid].Q(t) / conn.capacitance
         dy = exact.dy_dt(t)
-        A, src = spec.A(y, t), spec.s(t)
+        A, src = spec.matrix(y, t), spec.s(t)
         rhs = A @ y + src + b
         # backward-error row scale: the terms summed in each row bound the
         # attainable cancellation accuracy

@@ -274,7 +274,9 @@ class TimeSeparable:
     def vector(self, coefficients) -> np.ndarray:
         """sum_j coefficients[j] g_j, discretized, for one time's coefficients,
         summed in order, so values agree bitwise wherever the same
-        coefficients and profile values come from."""
+        coefficients and profile values come from.  Coefficients of shape
+        (terms, k, 1), a column of k times per term, give one row per time,
+        each with the bits of that time alone."""
         (c, g), *rest = zip(coefficients, self.vectors)
         out = c * g
         for c, g in rest:

@@ -2,11 +2,13 @@
 
 A simulation is driven period by period (dt = tau / N_tau) against a
 streaming periodicity criterion: the squared relative distance between the
-latest two period vectors must fall under eps_per.  Once periodic, the last
-recorded period feeds the normalized error norms.  The stability driver
-checks the per-step energy chain of the splitting scheme and audits the
-stage-1 energy identity; the convergence driver sweeps dt and fits the
-log-log slope.
+latest two period vectors must fall under eps_per.  The tracker forms the
+gap terms a chunk of consecutive states at a time, one sparse product per
+mass matrix and chunk, and closes every chunk at a period boundary.  Once
+periodic, the last recorded period feeds the normalized error norms.  The
+stability driver checks the per-step energy chain of the splitting scheme
+and audits the stage-1 energy identity; the convergence driver sweeps dt
+and fits the log-log slope.
 """
 from __future__ import annotations
 
@@ -17,11 +19,12 @@ from typing import Optional
 import numpy as np
 
 from . import splitting
-# step1_energy_residual is not called here; perfbench/spans.py traces it under
-# this module's name, next to energy_report
-from .analysis import (EnergyReport, ErrorReport, convergence_rate,  # noqa: F401
-                       energy_report, error_norms, step1_energy_residual,
-                       step_energy_audit)
+# step1_energy_residual is only re-exported: nothing calls it through this
+# module, so the span that perfbench/spans.py wraps around it here reads 0;
+# the stability audit calls it inside step_energy_audit
+from .analysis import (EnergyReport, ErrorReport, chunk_length,  # noqa: F401
+                       convergence_rate, energy_report, error_norms,
+                       quadratic_forms, step1_energy_residual, step_energy_audit)
 from .cases import Case
 from .splitting import CoupledState, StepConfig, check_positive
 
@@ -37,32 +40,26 @@ def periods_per_tau(tau: float, dt: float) -> int:
 class _PeriodTracker:
     """Streams states and accumulates the per-period gap terms.
 
-    Keeps the latest N_tau + 1 states, each with its velocities' squared
-    norms v.(M v); when state i arrives, its counterpart one period earlier
-    is the head of the buffer, and the pair contributes to the period in
-    progress.  Period boundaries belong to both neighbours: a boundary
-    state closes period p and opens p + 1, so one running sum `acc` is all
-    that is ever open.
+    When state i arrives, its counterpart one period earlier is state
+    i - N_tau, and the pair contributes to the period in progress.  Period
+    boundaries belong to both neighbours: a boundary state closes period p
+    and opens p + 1, so one running sum `acc` is all that is ever open.
+    The pairs' terms are formed a chunk of consecutive states at a time
+    (`analysis.quadratic_forms`), and a chunk always closes at a period
+    boundary, so each period's gap is there when its last state is pushed.
+    The buffer keeps the latest N_tau + 1 states and the open chunk, each
+    with its velocities' squared norms v.(M v).
     """
 
     def __init__(self, system, n_per: int):
         self.system = system
         self.n_per = n_per
-        self.buffer = deque(maxlen=n_per + 1)
+        self.chunk = chunk_length(system, n_per)
+        self.buffer = deque(maxlen=n_per + 1 + self.chunk)
         self.count = 0
+        self.formed = n_per     # the first state whose terms are not formed
         self.acc = None
         self.gaps = {}
-
-    def _groups(self, state, prev, prev_velocity_sq_norms):
-        sys_ = self.system
-        for l, dom in enumerate(sys_.domains):
-            d = state.velocities[l] - prev.velocities[l]
-            yield float(d @ (dom.ops.M @ d)), prev_velocity_sq_norms[l]
-            d = state.pressures[l] - prev.pressures[l]
-            yield float(d @ (dom.ops.Mp @ d)), float(
-                prev.pressures[l] @ (dom.ops.Mp @ prev.pressures[l]))
-        d = state.y - prev.y
-        yield float(d @ d), float(prev.y @ prev.y)
 
     def push(self, state) -> None:
         """Take the next state.  The buffer keeps it with v.(M v), all it
@@ -74,20 +71,59 @@ class _PeriodTracker:
         self.buffer.append((kept, norms))
         i = self.count
         self.count += 1
-        if i < self.n_per:
+        if i >= self.n_per and (i % self.n_per == 0
+                                or self.count - self.formed == self.chunk):
+            self._close_chunk()
+
+    def _terms(self, pairs) -> np.ndarray:
+        """The (numerator, reference) gap terms of each (state, counterpart,
+        counterpart's norms) pair, shape (pairs, groups, 2): per domain the
+        velocities, then the pressures, and the circuit state last."""
+        sys_ = self.system
+        terms = np.empty((len(pairs), 2 * len(sys_.domains) + 1, 2))
+        for l, dom in enumerate(sys_.domains):
+            dv = np.empty((len(pairs), dom.space.n_velocity))
+            dp = np.empty((len(pairs), dom.space.n_pressure))
+            for k, (s, prev, _) in enumerate(pairs):
+                np.subtract(s.velocities[l], prev.velocities[l], out=dv[k])
+                np.subtract(s.pressures[l], prev.pressures[l], out=dp[k])
+            terms[:, 2 * l, 0] = quadratic_forms(dom.ops.M, dv)
+            terms[:, 2 * l, 1] = [norms[l] for _, _, norms in pairs]
+            terms[:, 2 * l + 1, 0] = quadratic_forms(dom.ops.Mp, dp)
+            terms[:, 2 * l + 1, 1] = quadratic_forms(
+                dom.ops.Mp, [prev.pressures[l] for _, prev, _ in pairs])
+        for k, (s, prev, _) in enumerate(pairs):
+            d = s.y - prev.y
+            terms[k, -1] = float(d @ d), float(prev.y @ prev.y)
+        return terms
+
+    def _close_chunk(self) -> None:
+        """Form the terms of the states pushed since the last chunk and add
+        them to the running sum one state at a time, in push order."""
+        n_new = self.count - self.formed
+        self.formed = self.count
+        end = len(self.buffer)
+        pairs = [(self.buffer[k][0], *self.buffer[k - self.n_per])
+                 for k in range(end - n_new, end)]
+        terms = self._terms(pairs)
+        if self.acc is None:    # state N_tau opens period 2
+            self.acc = terms[-1]
             return
-        pairs = np.array(list(self._groups(state, *self.buffer[0])))
-        p, offset = divmod(i, self.n_per)
+        running = np.add.accumulate(np.concatenate((self.acc[None], terms)))
+        p, offset = divmod(self.count - 1, self.n_per)
         if offset:
-            self.acc += pairs
+            self.acc = running[-1]
             return
-        if p >= 2:
-            acc = self.acc + pairs
-            if np.any(acc[:, 1] <= 0.0):
-                raise ZeroDivisionError("previous period has zero norm; "
-                                        "degenerate periodicity reference")
-            self.gaps[p] = float(np.max(acc[:, 0] / acc[:, 1]))
-        self.acc = pairs
+        acc = running[-1]
+        if np.any(acc[:, 1] <= 0.0):
+            raise ZeroDivisionError("previous period has zero norm; "
+                                    "degenerate periodicity reference")
+        self.gaps[p] = float(np.max(acc[:, 0] / acc[:, 1]))
+        self.acc = terms[-1]
+
+    def last_period(self) -> list:
+        """The latest N_tau + 1 states."""
+        return [s for s, _ in self.buffer][-(self.n_per + 1):]
 
 
 @dataclass
@@ -167,7 +203,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
             converged = True
             break
 
-    last_period = [s for s, _ in tracker.buffer] if periods >= 1 else None
+    last_period = tracker.last_period() if periods >= 1 else None
     errors = None
     if converged:
         errors = error_norms(system, last_period, case.exact, dt)

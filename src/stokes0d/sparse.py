@@ -40,12 +40,25 @@ class LUFactorization:
     """Immutable LU factors; concurrent solves are safe.
 
     The factors are those of the transpose of A, and `solve` runs SuperLU's
-    transposed substitutions on them.
+    transposed substitutions on them.  `path` tells which factorization
+    `factorize` kept, "diagonal" or "colamd", and `check_backward_error`
+    the backward error of the diagonal-pivot attempt's check solve (None
+    where that attempt failed outright).
     """
 
-    def __init__(self, splu_obj, n: int):
+    def __init__(self, splu_obj, n: int, path: str, check_backward_error):
         self._lu = splu_obj
         self.n = n
+        self._path = path
+        self._check_backward_error = check_backward_error
+
+    @property
+    def path(self) -> str:
+        return self._path
+
+    @property
+    def check_backward_error(self):
+        return self._check_backward_error
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -85,27 +98,27 @@ BACKWARD_ERROR_TOL = 2e-14
 TINY_RHS = 2.0 ** -500
 
 
-def _factorize_on_diagonal(a: sp.csr_matrix) -> LUFactorization | None:
+def _factorize_on_diagonal(a: sp.csr_matrix):
     """LU of the transpose of A with the pivots taken on the diagonal, in
     A's own numbering, whenever they are nonzero.
 
     That suits matrices with a symmetric pattern such as the stage-1
     saddle-point system but can be unstable on others, so one solve with a
-    fixed solution checks the factors.  Returns None if the factorization
-    fails or the check's backward error exceeds BACKWARD_ERROR_TOL.
+    fixed solution checks the factors.  Returns the SuperLU object, or None
+    if the factorization fails or the check's backward error exceeds
+    BACKWARD_ERROR_TOL, and that backward error (None if there was no check).
     """
     n = a.shape[0]
     if n == 0:
-        return None
+        return None, None
     try:
         lu = spla.splu(a.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:
-        return None
+        return None, None
     b = a @ np.random.default_rng(0).standard_normal(n)
-    if _backward_error(a, lu.solve(b, trans="T"), b) <= BACKWARD_ERROR_TOL:
-        return LUFactorization(lu, n)
-    return None
+    error = _backward_error(a, lu.solve(b, trans="T"), b)
+    return (lu if error <= BACKWARD_ERROR_TOL else None), error
 
 
 def factorize(a) -> LUFactorization:
@@ -119,13 +132,13 @@ def factorize(a) -> LUFactorization:
     nr, nc = a.shape
     if nr != nc:
         raise ValueError(f"matrix must be square, got {nr}x{nc}")
-    f = _factorize_on_diagonal(a)
-    if f is not None:
-        return f
+    lu, error = _factorize_on_diagonal(a)
+    if lu is not None:
+        return LUFactorization(lu, nr, "diagonal", error)
     try:
         lu = spla.splu(a.T)
     except RuntimeError as err:
         if "singular" in str(err).lower():
             raise SingularMatrixError(_locate_zero_pivot(a), nr) from err
         raise
-    return LUFactorization(lu, nr)
+    return LUFactorization(lu, nr, "colamd", error)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import stokes0d.circuits as circuits_module
 from stokes0d import (CircuitSpec, Connection, Example1Params,
-                      Example2Params, Example3Params, eval_B, example1_circuit,
-                      example1_exact, example2_circuit, example2_exact,
-                      example3_circuit, example3_exact, step2_integrate)
+                      Example2Params, Example3Params, StepConfig, build_case,
+                      eval_B, example1_circuit, example1_exact, example2_circuit,
+                      example2_exact, example3_circuit, example3_exact, run,
+                      step2_integrate)
 from stokes0d.circuits import (capacitance_a, energy, resistance_a,
                                resistance_a_prime)
 
@@ -75,7 +77,7 @@ def test_quadratic_form_example3():
 def test_example1_builder_values():
     p = Example1Params()
     spec = example1_circuit(p, nonlinear=False)
-    A = spec.A(np.zeros(2), 0.0)
+    A = spec.A
     assert abs(A[0, 0] + 100.0) <= 1e-12
     assert np.array_equal(spec.U(np.zeros(2), 0.0), [p.C11_1, 1.0 / p.Cbar_a])
     assert spec.connections[0].interface_id == (1, 1, 1)
@@ -90,7 +92,7 @@ def test_example1_builder_values():
 def test_example23_builder_values():
     p2 = Example2Params()
     spec2 = example2_circuit(p2)
-    assert abs(spec2.A(np.zeros(3), 0.0)[2, 0] - 1000.0 / 3.0) <= 1e-10
+    assert abs(spec2.A[2, 0] - 1000.0 / 3.0) <= 1e-10
     assert [c.pi_index for c in spec2.connections] == [0, 1]
     assert [c.interface_id for c in spec2.connections] == [(1, 1, 1), (2, 1, 1)]
 
@@ -183,7 +185,7 @@ def _step2_reference(spec, y, t, n_sub, dt2):
     eye = np.eye(spec.dim)
     for k in range(n_sub):
         t_new = t + (k + 1) * dt2
-        y = np.linalg.solve(eye - dt2 * spec.A(y, t_new), y + dt2 * sources[k])
+        y = np.linalg.solve(eye - dt2 * spec.matrix(y, t_new), y + dt2 * sources[k])
     return y
 
 
@@ -209,14 +211,54 @@ def test_sources_broadcast_over_times(name):
         assert rows[k].tobytes() == spec.s(t).tobytes()
 
 
-def test_constant_matrices_are_one_array_object():
-    # stage 2 keeps its LU factors only while A returns the same object
+def test_constant_circuits_carry_an_array():
+    # stage 2 factors an array A once per substep size, a callable at every substep
     circuits = _forced_circuits()
     for name in ("ex1-linear", "ex1-unforced", "ex2", "ex3"):
         spec, _ = circuits[name]
-        assert spec.A(np.zeros(spec.dim), 0.0) is spec.A(np.ones(spec.dim), 1.0)
+        assert isinstance(spec.A, np.ndarray) and spec.A.shape == (spec.dim, spec.dim)
+        assert not spec.A.flags.writeable
+        assert spec.matrix(np.ones(spec.dim), 1.0) is spec.A
     spec, _ = circuits["ex1-nonlinear"]
-    assert spec.A(np.zeros(2), 0.0) is not spec.A(np.ones(2), 0.0)
+    assert callable(spec.A)
+    assert spec.matrix(np.zeros(2), 0.0).tobytes() != spec.matrix(np.ones(2), 0.0).tobytes()
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    real = circuits_module.dgetrf
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(circuits_module, "dgetrf", counting)
+    return calls
+
+
+@pytest.mark.parametrize("s_sub", [1, 4])
+def test_a_constant_circuit_factors_once_per_substep_size(monkeypatch, s_sub):
+    case = build_case(3, nx=8, ny=2)
+    calls = _count_factorizations(monkeypatch)
+    state = run(case.system, case.initial_state(), StepConfig(0.01, s_sub), 3)
+    assert len(calls) == 1
+    run(case.system, state, StepConfig(0.01, s_sub), 3)      # the same dt2
+    assert len(calls) == 1
+    run(case.system, state, StepConfig(0.02, s_sub), 3)      # a new one
+    assert len(calls) == 2
+
+
+def test_a_state_dependent_circuit_factors_every_substep(monkeypatch):
+    case = build_case(1, nonlinear=True, nx=8, ny=2)
+    calls = _count_factorizations(monkeypatch)
+    run(case.system, case.initial_state(), StepConfig(0.01, 4), 3)
+    assert len(calls) == 3 * 4
+
+
+def test_circuit_matrix_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        CircuitSpec(2, A=np.zeros((3, 3)), U=lambda y, t: np.ones(2),
+                    s=lambda t: np.zeros(np.shape(t) + (2,)), connections=())
 
 
 def _union(*specs):
@@ -229,7 +271,7 @@ def _union(*specs):
 
     return CircuitSpec(
         int(cuts[-1]),
-        A=lambda y, t: block_diag(*(spec.A(p, t) for spec, p in zip(specs, parts(y)))),
+        A=lambda y, t: block_diag(*(spec.matrix(p, t) for spec, p in zip(specs, parts(y)))),
         U=lambda y, t: np.concatenate([spec.U(p, t) for spec, p in zip(specs, parts(y))]),
         s=lambda t: np.concatenate([spec.s(t) for spec in specs], axis=-1),
         connections=())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse._sparsetools as sparsetools
 
-from stokes0d import StepConfig, build_case, run, splitting
+from stokes0d import StepConfig, analysis, build_case, run, splitting
 from stokes0d.analysis import energy_report, step1_energy_residual, step_energy_audit
 from stokes0d.harness import _PeriodTracker, run_to_periodicity
 
@@ -134,25 +134,38 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
 def test_a_step_with_series_makes_five_sparse_products(monkeypatch):
     # nonlinear benchmark 1 with series: M v of the new state (run), the
     # tracker's M d, Mp d and Mp prev, and the series' K v; each period's
-    # run is handed M v of its start state, the last record's
+    # run is handed M v of its start state, the last record's.  The tracker
+    # forms its products a chunk of states at a time, so each column of a
+    # multi-vector product counts as one product
     calls = []
-    real = sparsetools.csr_matvec
+    real_one, real_several = sparsetools.csr_matvec, sparsetools.csr_matvecs
 
-    def counting(*args):
+    def one(*args):
         calls.append(1)
-        return real(*args)
+        return real_one(*args)
 
-    per_step = []
+    def several(*args):
+        calls.append(args[2])       # n_vecs
+        return real_several(*args)
 
     def mark(record):
-        per_step.append(len(calls))
+        per_step.append(sum(calls))
         calls.clear()
 
     case = build_case(1, nonlinear=True, nx=8, ny=2)
-    monkeypatch.setattr(sparsetools, "csr_matvec", counting)
-    res = run_to_periodicity(case, 0.25, max_periods=2, eps_per=1e-300,
-                             extra_observers=(mark,))
-    n_tau = res.n_tau
-    assert (res.periods, len(per_step)) == (2, 2 * n_tau)
-    # the tracker compares states from the second period on
-    assert per_step[n_tau:] == [5] * n_tau
+    longest = case.system.domains[0].space.n_velocity
+    monkeypatch.setattr(sparsetools, "csr_matvec", one)
+    monkeypatch.setattr(sparsetools, "csr_matvecs", several)
+    for chunk in (1, 3, 8):
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", 8 * longest * chunk)
+        per_step = []
+        res = run_to_periodicity(case, 0.25, max_periods=2, eps_per=1e-300,
+                                 extra_observers=(mark,))
+        n_tau = res.n_tau
+        assert (res.periods, len(per_step)) == (2, 2 * n_tau)
+        # the tracker compares states from the first period's last one on;
+        # the first count also holds the run's start
+        assert sum(per_step[1:n_tau]) == 2 * (n_tau - 1) + 3
+        assert sum(per_step[n_tau:]) == 5 * n_tau
+        if chunk == 1:
+            assert per_step[1:] == [2] * (n_tau - 2) + [5] * (n_tau + 1)

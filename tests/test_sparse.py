@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from stokes0d import SingularMatrixError, build_case, factorize
-from stokes0d.sparse import TINY_RHS, _factorize_on_diagonal
+from stokes0d.params import params_for
+from stokes0d.sparse import BACKWARD_ERROR_TOL, TINY_RHS, _factorize_on_diagonal
 
 
 def normwise_backward_error(a, x, b):
@@ -76,9 +79,28 @@ def test_tiny_diagonal_falls_back_to_partial_pivoting():
     a = sp.random(n, n, density=0.2, random_state=rng, format="csc")
     a = (a + sp.diags(10.0 ** rng.uniform(-18, 0, n))).tocsc()
     b = rng.standard_normal(n)
-    assert _factorize_on_diagonal(sp.csr_matrix(a)) is None
+    lu, error = _factorize_on_diagonal(sp.csr_matrix(a))
+    assert lu is None and error > BACKWARD_ERROR_TOL
     f = factorize(a)
+    assert (f.path, f.check_backward_error) == ("colamd", error)
     assert normwise_backward_error(a, f.solve(b), b) <= 1e-14
+
+
+def test_factorization_records_its_path_at_the_paper_parameters():
+    f = build_case(1, nx=20, ny=4).system.step1_solver(0.01).factorization
+    assert f.path == "diagonal"
+    assert 0.0 <= f.check_backward_error <= BACKWARD_ERROR_TOL
+    with pytest.raises(AttributeError):
+        f.path = "colamd"       # telemetry, not an option
+
+
+def test_factorization_records_the_fallback_off_the_paper_parameters():
+    # density and viscosity scaled by 1e-3 at dt = 10: the diagonal pivots
+    # fail their check, and COLAMD factors the matrix a second time
+    params = dataclasses.replace(params_for(1), rho=1e-3, mu=1e-3)
+    f = build_case(1, nx=20, ny=4, params=params).system.step1_solver(10.0).factorization
+    assert f.path == "colamd"
+    assert f.check_backward_error > BACKWARD_ERROR_TOL
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3])
