@@ -6,9 +6,7 @@ viscous dissipation, the resistive interface dissipation sum of R Q^2 and
 the circuit dissipation y^T B y.  The stage-1 audit
 recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
-`step_energy_audit` gives the energy chain and that residual of one step
-from a single pass over the flow regions.  The kinetic energies read the
-mass products M v that each state carries.
+The kinetic energies read the mass products M v that each state carries.
 
 The observers of many states, the error norms here and the period
 tracker of the harness, take their quadratic forms d.(M d) a chunk of
@@ -70,7 +68,7 @@ class EnergyReport:
         return self.e_omega + self.e_ups
 
 
-def _kinetic_energy(system, state) -> float:
+def kinetic_energy(system, state) -> float:
     """(1/2) sum of rho (v, M v) over the flow regions."""
     e = 0.0
     for dom, v, mv in zip(system.domains, state.velocities, state.mass_products):
@@ -81,7 +79,7 @@ def _kinetic_energy(system, state) -> float:
 def energy_report(system, state, dt_fd: float) -> EnergyReport:
     """The energy terms of one state; `dt_fd` is the time step of the
     central difference that gives u_ups its -1/2 dU/dt term."""
-    e_om = _kinetic_energy(system, state)
+    e_om = kinetic_energy(system, state)
     d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
         d_om += dom.mu * float(v @ (dom.ops.K @ v))
@@ -120,22 +118,6 @@ def step1_energy_residual(system, previous, intermediate, dt: float):
         lhs += c.resistance * intermediate.interfaces[c.interface_id].Q ** 2
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, rel
-
-
-def step_energy_audit(system, record, dt: float):
-    """(E^{n+1/2}, E^{n+1}, stage-1 identity residual) of one step record.
-
-    The same as the totals of `energy_report` on the intermediate and the new
-    state and the residual of `step1_energy_residual`, with one K v* per
-    flow region: stage 2 hands the velocities on unchanged, so both
-    energies share their kinetic part.
-    """
-    mid = record.intermediate
-    _, _, rel = step1_energy_residual(system, record.previous, mid, dt)
-    e_flow = _kinetic_energy(system, mid)
-    new = record.state
-    return (e_flow + energy(system.circuit, mid.y, mid.t),
-            e_flow + energy(system.circuit, new.y, new.t), rel)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class Case:
             prs.append(TimeSeparable(dex.pressure, partial(interpolate_pressure, d.space))(0.0))
         ifs = {iid: InterfaceValues(float(ie.P(0.0)), float(ie.Q(0.0)), float(ie.pi(0.0)))
                for iid, ie in self.exact.interfaces.items()}
-        return CoupledState(vels, prs, self.exact.y(0.0), ifs, 0.0,
+        return CoupledState(tuple(vels), tuple(prs), self.exact.y(0.0), ifs, 0.0,
                             self.system.mass_products(vels))
 
 

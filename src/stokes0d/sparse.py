@@ -6,6 +6,8 @@ own numbering: a fill-reducing order is the caller's to number it in.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -36,6 +38,7 @@ def _locate_zero_pivot(a: sp.csr_matrix) -> int | None:
     return None
 
 
+@dataclass(frozen=True, eq=False)
 class LUFactorization:
     """Immutable LU factors; concurrent solves are safe.
 
@@ -45,20 +48,10 @@ class LUFactorization:
     the backward error of the diagonal-pivot attempt's check solve (None
     where that attempt failed outright).
     """
-
-    def __init__(self, splu_obj, n: int, path: str, check_backward_error):
-        self._lu = splu_obj
-        self.n = n
-        self._path = path
-        self._check_backward_error = check_backward_error
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def check_backward_error(self):
-        return self._check_backward_error
+    _lu: spla.SuperLU
+    n: int
+    path: str
+    check_backward_error: float | None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

@@ -24,9 +24,9 @@ them once per block of up to BLOCK_STEPS steps, in one call on the block's
 whole time grid, and hands every step its slice.
 
 The stage-1 matrix does not depend on time, so it is factorized once per
-(dt, variant) and reused for every step of a run.  Its unknowns are
-numbered in their elimination order, nested dissection of each domain's
-quadratic node grid, once per system for every dt and variant.
+dt and reused for every step of a run.  Its unknowns are numbered in their
+elimination order, nested dissection of each domain's quadratic node grid,
+once per system for every dt.
 
 `run` is the only producer of a step's inputs.  Each state carries the mass
 products M v of its velocities, formed once by the code that forms the
@@ -67,18 +67,19 @@ class InterfaceValues:
     pi: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoupledState:
-    """The coupled state at time t.  No step changes a state it is handed:
-    each stage returns a new one, sharing only arrays it leaves as they are."""
-    velocities: list
-    pressures: list
+    """The coupled state at time t, immutable down to its sequences of
+    arrays: each stage returns a new one, sharing only arrays it leaves as
+    they are."""
+    velocities: tuple
+    pressures: tuple
     y: np.ndarray               # the circuit state
     interfaces: dict            # interface_id -> InterfaceValues
     t: float
     # M v of each velocity (CoupledSystem.mass_products); None only on the
     # states a run's period tracker keeps, `SimulateResult.last_period`
-    mass_products: Optional[list]
+    mass_products: Optional[tuple]
 
 
 def check_positive(name: str, value: float) -> None:
@@ -105,11 +106,17 @@ class CoupledSystem:
 
     Several circuits are one: stack their states, concatenate U and s and
     make A block-diagonal.  Stage 2 then gives each part's own result.
+
+    `explicit_pi` makes the system a negative control: its stage 1 lags the
+    pi coupling of the momentum equation at the previous step, on the
+    right-hand side, which breaks the discrete energy balance and with it
+    unconditional stability.
     """
 
-    def __init__(self, domains, circuit):
+    def __init__(self, domains, circuit, explicit_pi: bool = False):
         self.domains = list(domains)
         self.circuit = circuit
+        self.explicit_pi = explicit_pi
         # (domain index, connection), in circuit order
         self.connections = [(c.interface_id[0] - 1, c) for c in circuit.connections]
         self._step1_cache = {}
@@ -150,22 +157,21 @@ class CoupledSystem:
         return Step1Layout(velocity, pressure, q, q + 1, off + 2 * len(self.connections))
 
     def zero_state(self) -> CoupledState:
-        vels = [np.zeros(d.space.n_velocity) for d in self.domains]
-        prs = [np.zeros(d.space.n_pressure) for d in self.domains]
+        vels = tuple(np.zeros(d.space.n_velocity) for d in self.domains)
+        prs = tuple(np.zeros(d.space.n_pressure) for d in self.domains)
         ifs = {c.interface_id: InterfaceValues(0.0, 0.0, 0.0)
                for _, c in self.connections}
         return CoupledState(vels, prs, np.zeros(self.circuit.dim), ifs, 0.0,
                             self.mass_products(vels))
 
-    def mass_products(self, velocities) -> list:
+    def mass_products(self, velocities) -> tuple:
         """M v of each domain's velocity."""
-        return [dom.ops.M @ v for dom, v in zip(self.domains, velocities)]
+        return tuple(dom.ops.M @ v for dom, v in zip(self.domains, velocities))
 
-    def step1_solver(self, dt: float, explicit_pi: bool = False) -> "_Step1Solver":
-        key = (dt, explicit_pi)
-        if key not in self._step1_cache:
-            self._step1_cache[key] = _Step1Solver(self, dt, explicit_pi)
-        return self._step1_cache[key]
+    def step1_solver(self, dt: float) -> "_Step1Solver":
+        if dt not in self._step1_cache:
+            self._step1_cache[dt] = _Step1Solver(self, dt)
+        return self._step1_cache[dt]
 
 
 @dataclass(frozen=True)
@@ -211,18 +217,18 @@ def _dissection_keys(grid: np.ndarray) -> np.ndarray:
 
 class _Step1Solver:
     """Assembled and factorized stage-1 system for one time step size, in
-    the numbering of `CoupledSystem.step1_layout`.  `explicit_pi` is a test-only
-    variant that moves the pi coupling in the momentum equation to the
-    right-hand side (lagged at the previous step), which breaks the
-    discrete energy balance and with it unconditional stability.
+    the numbering of `CoupledSystem.step1_layout`.  `lagged` holds the
+    control system's pi coupling, (momentum positions, phi, pi's index in
+    y) per connection, which `solve` moves to the right-hand side; it is
+    empty for the scheme itself.
     """
 
-    def __init__(self, system: CoupledSystem, dt: float, explicit_pi: bool):
+    def __init__(self, system: CoupledSystem, dt: float):
         self.system = system
         self.dt = dt
-        self.explicit_pi = explicit_pi
         self.layout = layout = system.step1_layout
         self.n = layout.n
+        self.lagged = []
 
         blocks = []   # (rows, cols, values) of each block
         for d, dom in enumerate(system.domains):
@@ -242,7 +248,9 @@ class _Step1Solver:
             R, C = conn.resistance, conn.capacitance
             qo, pio = layout.q[b], layout.pi[b]
             blocks.append((vel, np.full(len(nz), qo), R * phi[nz]))
-            if not explicit_pi:
+            if system.explicit_pi:
+                self.lagged.append((layout.velocity[d], phi, conn.pi_index))
+            else:
                 blocks.append((vel, np.full(len(nz), pio), phi[nz]))
             blocks.append((np.full(len(nz), qo), vel, -phi[nz]))
             blocks.append(([qo, pio, pio], [qo, qo, pio], [1.0, -dt / C, 1.0]))
@@ -275,13 +283,10 @@ class _Step1Solver:
             if coefficients is not None:
                 r += dom.body_load.vector(coefficients)[free]
             rhs[layout.velocity[d]] = r
-        for b, (d, conn) in enumerate(sys_.connections):
-            pi_n = state.y[conn.pi_index]
-            rhs[layout.pi[b]] = pi_n
-            if self.explicit_pi:
-                dom = sys_.domains[d]
-                phi = dom.ops.flux[conn.interface_id][dom.space.free]
-                rhs[layout.velocity[d]] -= pi_n * phi
+        for b, (_, conn) in enumerate(sys_.connections):
+            rhs[layout.pi[b]] = state.y[conn.pi_index]
+        for positions, phi, index in self.lagged:
+            rhs[positions] -= state.y[index] * phi
 
         try:
             x = self.factorization.solve(rhs)
@@ -294,7 +299,7 @@ class _Step1Solver:
             v = np.zeros(dom.space.n_velocity)
             v[dom.space.free] = x[layout.velocity[d]]
             vels.append(v)
-        prs = [x[positions] for positions in layout.pressure]
+        prs = tuple(x[positions] for positions in layout.pressure)
         y = state.y.copy()
         interfaces = {}
         for b, (_, conn) in enumerate(sys_.connections):
@@ -302,7 +307,8 @@ class _Step1Solver:
             pi = float(x[layout.pi[b]])
             y[conn.pi_index] = pi
             interfaces[conn.interface_id] = InterfaceValues(pi + conn.resistance * Q, Q, pi)
-        return CoupledState(vels, prs, y, interfaces, state.t, sys_.mass_products(vels))
+        return CoupledState(tuple(vels), prs, y, interfaces, state.t,
+                            sys_.mass_products(vels))
 
 
 # A run evaluates its time-only inputs for at most this many steps at once,
@@ -337,8 +343,7 @@ def stage2_sources(system: CoupledSystem, starts: np.ndarray, dt: float,
     return sources
 
 
-def step1(system: CoupledSystem, state: CoupledState, dt: float,
-          explicit_pi: bool, loads) -> CoupledState:
+def step1(system: CoupledSystem, state: CoupledState, dt: float, loads) -> CoupledState:
     """Stage 1: one implicit step of the flow/interface subsystem.
 
     Returns the intermediate state: velocities and pressures at the new
@@ -347,7 +352,7 @@ def step1(system: CoupledSystem, state: CoupledState, dt: float,
     stage 2 advances it.  `loads` is this step's slice of `stage1_loads`,
     as `run` hands it over.
     """
-    return system.step1_solver(dt, explicit_pi).solve(state, loads)
+    return system.step1_solver(dt).solve(state, loads)
 
 
 def step2(system: CoupledSystem, state: CoupledState, dt: float,
@@ -371,7 +376,7 @@ class StepRecord:
 
 
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
-        n_steps: int, observers=(), explicit_pi: bool = False) -> CoupledState:
+        n_steps: int, observers=()) -> CoupledState:
     """Apply step1 then step2 n_steps times, invoking observers after each
     step.  The time-only inputs of up to BLOCK_STEPS steps are evaluated at
     once, on the clock of the block's first state."""
@@ -385,7 +390,7 @@ def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
         sources = stage2_sources(system, times[:-1], dt, s_sub)
         for k in range(n_block):
             step_loads = [None if c is None else c[k] for c in loads]
-            mid = step1(system, state, dt, explicit_pi, step_loads)
+            mid = step1(system, state, dt, step_loads)
             new = step2(system, mid, dt, s_sub, sources[k])
             record = StepRecord(first + k, state, mid, new)
             for obs in observers:

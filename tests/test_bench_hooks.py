@@ -63,6 +63,23 @@ def test_stage1_solver_exposes_size_and_lu_factors():
     assert lu.L.nnz > 0 and lu.U.nnz > 0
 
 
+def test_every_traced_run_phase_is_called():
+    # a traced name that the drivers never call through still resolves, yet
+    # its metric reads 0 in every run: the drivers' own runs must open every
+    # span that a run-phase metric reads
+    from stokes0d import harness
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        harness.stability_run(build_case(1, nx=8, ny=2, zero_forcing=True), 0.5, 3)
+        res = harness.run_to_periodicity(build_case(3, nx=8, ny=2), 0.5, eps_per=1.0,
+                                         max_periods=3)
+    assert res.converged
+    assert tracer.missing == []
+    opened = {span[0] for span in tracer.spans}
+    assert {name for name, _ in spans.RUN_METRICS.values()} - opened == set()
+
+
 def test_drivers_call_run_through_the_splitting_module(monkeypatch):
     # the benchmark times the stability-sweep steps by patching
     # splitting.run, so the drivers must look it up there on every call, and

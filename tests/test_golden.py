@@ -117,9 +117,9 @@ def _changed_states(state):
         name, value = field.name, getattr(state, field.name)
         if isinstance(value, (float, np.ndarray)):
             yield name, dataclasses.replace(state, **{name: _flipped(value)})
-        elif isinstance(value, list):
+        elif isinstance(value, tuple):
             for k, a in enumerate(value):
-                arrays = value[:k] + [_flipped(a)] + value[k + 1:]
+                arrays = (*value[:k], _flipped(a), *value[k + 1:])
                 yield f"{name}[{k}]", dataclasses.replace(state, **{name: arrays})
         elif isinstance(value, dict):
             for key, iv in value.items():

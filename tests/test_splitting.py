@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from stokes0d import StepConfig, build_case, cases, params_for, run, splitting
 from stokes0d.analysis import energy_report, step1_energy_residual
-from stokes0d.splitting import _dissection_keys
+from stokes0d.sparse import LUFactorization
+from stokes0d.splitting import CoupledSystem, _dissection_keys
 
 
 def normwise_backward_error(a, x, b):
@@ -119,16 +121,16 @@ def test_step1_identity_and_solve_accuracy_any_scaling(example, log_rho, log_mu,
     case = coarse_case(example, params=params)
     dt = 10.0 ** log_dt
     solver = case.system.step1_solver(dt)
-    f = solver.factorization
+    real_solve = LUFactorization.solve
     solves = []
 
-    def recording_solve(rhs):
-        x = type(f).solve(f, rhs)
+    def recording_solve(f, rhs):
+        x = real_solve(f, rhs)
         solves.append((rhs, x))
         return x
 
-    f.solve = recording_solve
-    rec, = step_records(case, dt, 1, s_sub=case.s_sub)
+    with mock.patch.object(LUFactorization, "solve", recording_solve):
+        rec, = step_records(case, dt, 1, s_sub=case.s_sub)
     _, _, rel = step1_energy_residual(case.system, rec.previous, rec.intermediate, dt)
     assert rel <= 1e-8
     (rhs, x), = solves
@@ -140,8 +142,11 @@ def test_stage1_matrix_matches_block_definition(explicit_pi):
     # benchmark 2: two domains, each with one connection to the same circuit
     case = coarse_case(2)
     dt = 0.01
-    solver = case.system.step1_solver(dt, explicit_pi)
-    layout = case.system.step1_layout
+    system = CoupledSystem(case.system.domains, case.system.circuit, explicit_pi)
+    solver = system.step1_solver(dt)
+    layout = system.step1_layout
+    # the control lags each connection's pi coupling on the right-hand side
+    assert len(solver.lagged) == (len(system.connections) if explicit_pi else 0)
     x = np.random.default_rng(5).standard_normal(solver.n)
     expected = np.zeros(solver.n)
     for d, dom in enumerate(case.system.domains):
@@ -230,10 +235,11 @@ def test_stage1_failure_identifies_interfaces(monkeypatch):
     case = coarse_case()
     solver = case.system.step1_solver(0.01)
 
-    def boom(rhs):
+    def boom(f, rhs):
         raise RuntimeError("synthetic solver breakdown")
 
-    monkeypatch.setattr(solver.factorization, "solve", boom)
+    assert type(solver.factorization) is LUFactorization
+    monkeypatch.setattr(LUFactorization, "solve", boom)
     with pytest.raises(RuntimeError, match=r"\(1, 1, 1\)"):
         run(case.system, case.initial_state(), StepConfig(0.01, 5), 1)
 
@@ -302,9 +308,18 @@ def test_stability_sweep_shares_one_step1_order(monkeypatch):
     for dt in (0.1, 1.0, 10.0):
         harness.stability_run(case, dt, 2)
     layouts = [case.system.step1_solver(dt).layout for dt in (0.1, 1.0, 10.0)]
-    layouts.append(case.system.step1_solver(0.1, explicit_pi=True).layout)
     assert len(calls) == len(case.system.domains)
     assert all(layout is case.system.step1_layout for layout in layouts)
+    # the lagged-pi control numbers its unknowns the same way
+    control = CoupledSystem(case.system.domains, case.system.circuit, explicit_pi=True)
+    for field in dataclasses.fields(case.system.step1_layout):
+        want = getattr(case.system.step1_layout, field.name)
+        got = getattr(control.step1_solver(0.1).layout, field.name)
+        if isinstance(want, list):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), field.name
+        else:
+            assert np.array_equal(got, want), field.name
 
 
 def test_binding_validation():
