@@ -20,8 +20,7 @@ from .circuits import (Connection, CircuitSpec, eval_B, step2_integrate,
                        example1_circuit, example2_circuit, example3_circuit)
 from .exact import (ExactSolutionSet, example1_exact, example2_exact,
                     example3_exact, exact_for, verify_exact)
-from .splitting import (CoupledSystem, CoupledState, Domain, InterfaceValues,
-                        StepConfig, StepRecord, run)
+from .splitting import CoupledSystem, CoupledState, Domain, StepConfig, StepRecord, run
 from .analysis import (EnergyReport, ErrorReport, energy_report,
                        step1_energy_residual, error_norms, convergence_rate)
 from .cases import Case, build_case, DEFAULT_SUBSTEPS

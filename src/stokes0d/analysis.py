@@ -6,7 +6,8 @@ viscous dissipation, the resistive interface dissipation sum of R Q^2 and
 the circuit dissipation y^T B y.  The stage-1 audit
 recomputes both sides of the discrete balance identity that the splitting
 scheme satisfies step by step; its residual should sit at solver precision.
-The kinetic energies read the mass products M v that each state carries.
+The kinetic energies read the mass products M v that each state carries,
+the resistive terms its connection flows Q_k.
 
 The observers of many states, the error norms here and the period
 tracker of the harness, take their quadratic forms d.(M d) a chunk of
@@ -24,6 +25,7 @@ import numpy as np
 
 from .circuits import energy, eval_B
 from .fem import TimeSeparable, interpolate_pressure, interpolate_velocity
+from .sparse import apply_in_range
 
 
 # The largest stack of vectors that one chunk's sparse product takes: 29
@@ -82,12 +84,11 @@ def energy_report(system, state, dt_fd: float) -> EnergyReport:
     e_om = kinetic_energy(system, state)
     d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
-        d_om += dom.mu * float(v @ (dom.ops.K @ v))
+        d_om += dom.mu * float(v @ apply_in_range(dom.ops.K.dot, v))
     spec, y = system.circuit, state.y
     e_up = energy(spec, y, state.t)
     u_up = float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
-    d_rc = sum(c.resistance * state.interfaces[c.interface_id].Q ** 2
-               for _, c in system.connections)
+    d_rc = sum((system.resistances * state.flows ** 2).tolist())
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up)
 
 
@@ -106,7 +107,8 @@ def step1_energy_residual(system, previous, intermediate, dt: float):
     lhs = rhs = 0.0
     for dom, vn, vs, mvs in zip(system.domains, previous.velocities,
                                 intermediate.velocities, intermediate.mass_products):
-        lhs += (dom.rho / dt) * float(vs @ mvs) + dom.mu * float(vs @ (dom.ops.K @ vs))
+        lhs += (dom.rho / dt) * float(vs @ mvs) + dom.mu * float(
+            vs @ apply_in_range(dom.ops.K.dot, vs))
         rhs += (dom.rho / dt) * float(vn @ mvs)
         if dom.body_load is not None:
             rhs += float(dom.body_load(t_new) @ vs)
@@ -114,8 +116,8 @@ def step1_energy_residual(system, previous, intermediate, dt: float):
     U = system.circuit.U(y_star, t_new)
     lhs += float(y_star @ (U * y_star)) / dt
     rhs += float(y_n @ (U * y_star)) / dt
-    for _, c in system.connections:
-        lhs += c.resistance * intermediate.interfaces[c.interface_id].Q ** 2
+    # the resistive terms added in circuit order, one at a time
+    lhs = sum((system.resistances * intermediate.flows ** 2).tolist(), lhs)
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, rel
 

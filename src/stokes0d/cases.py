@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from . import circuits as circ
 from . import mesh as msh
 from .exact import ExactSolutionSet, exact_for
 from .fem import (TimeSeparable, assemble_body_force, assemble_operators, build_space,
                   interpolate_pressure, interpolate_velocity)
 from .params import params_for
-from .splitting import CoupledState, CoupledSystem, Domain, InterfaceValues
+from .splitting import CoupledState, CoupledSystem, Domain, read_only
 
 DEFAULT_SUBSTEPS = {1: 5, 2: 10, 3: 10}
 
@@ -85,10 +87,11 @@ class Case:
         for d, dex in zip(self.system.domains, self.exact.domains):
             vels.append(TimeSeparable(dex.velocity, partial(interpolate_velocity, d.space))(0.0))
             prs.append(TimeSeparable(dex.pressure, partial(interpolate_pressure, d.space))(0.0))
-        ifs = {iid: InterfaceValues(float(ie.P(0.0)), float(ie.Q(0.0)), float(ie.pi(0.0)))
-               for iid, ie in self.exact.interfaces.items()}
-        return CoupledState(tuple(vels), tuple(prs), self.exact.y(0.0), ifs, 0.0,
-                            self.system.mass_products(vels))
+        vels, prs = tuple(map(read_only, vels)), tuple(map(read_only, prs))
+        ies = [self.exact.interfaces[c.interface_id] for _, c in self.system.connections]
+        flows, node_pressures = read_only(np.array([(ie.Q(0.0), ie.pi(0.0)) for ie in ies]).T)
+        return CoupledState(vels, prs, read_only(self.exact.y(0.0)),
+                            flows, node_pressures, 0.0, self.system.mass_products(vels))
 
 
 def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int = 20,

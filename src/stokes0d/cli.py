@@ -100,21 +100,19 @@ def _fmt(x) -> str:
 
 
 def _write_series_csv(path: Path, result) -> None:
-    iids = [c.interface_id for _, c in result.case.system.connections]
-    cols = ["t"]
-    for iid in iids:
-        lbl = "_".join(str(i) for i in iid)
-        cols += [f"P_{lbl}", f"Q_{lbl}", f"pi_{lbl}"]
+    system = result.case.system
+    labels = ["_".join(str(i) for i in c.interface_id) for _, c in system.connections]
+    cols = ["t"] + [f"{name}_{lbl}" for lbl in labels for name in ("P", "Q", "pi")]
     # the y0_ prefix keeps the column names of earlier series files
-    cols += [f"y0_{j}" for j in range(result.case.system.circuit.dim)]
+    cols += [f"y0_{j}" for j in range(system.circuit.dim)]
     cols += ["E_omega", "E_ups", "D_omega", "D_rc", "U_ups"]
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
         for row in result.series:
             vals = [_fmt(row.t)]
-            for iid in iids:
-                iv = row.interfaces[iid]
-                vals += [_fmt(iv.P), _fmt(iv.Q), _fmt(iv.pi)]
+            for P, Q, pi in zip(system.interface_pressures(row), row.flows,
+                                row.node_pressures):
+                vals += [_fmt(P), _fmt(Q), _fmt(pi)]
             vals += [_fmt(v) for v in row.y]
             e = row.energy
             vals += [_fmt(e.e_omega), _fmt(e.e_ups), _fmt(e.d_omega),

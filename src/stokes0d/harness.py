@@ -63,8 +63,8 @@ class _PeriodTracker:
         reads of the mass products, and without the products themselves: a
         period of them would double the memory the velocities take."""
         norms = [float(v @ mv) for v, mv in zip(state.velocities, state.mass_products)]
-        kept = CoupledState(state.velocities, state.pressures, state.y,
-                            state.interfaces, state.t, None)
+        kept = CoupledState(state.velocities, state.pressures, state.y, state.flows,
+                            state.node_pressures, state.t, None)
         self.buffer.append((kept, norms))
         i = self.count
         self.count += 1
@@ -126,7 +126,8 @@ class _PeriodTracker:
 @dataclass
 class SeriesRow:
     t: float
-    interfaces: dict          # interface_id -> InterfaceValues
+    flows: np.ndarray           # Q_k and pi_k in circuit order, as in a state;
+    node_pressures: np.ndarray  # P_k is CoupledSystem.interface_pressures(row)
     y: np.ndarray
     energy: EnergyReport
 
@@ -172,7 +173,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
     series: list = []
 
     def record_series(state):
-        series.append(SeriesRow(state.t, state.interfaces, state.y,
+        series.append(SeriesRow(state.t, state.flows, state.node_pressures, state.y,
                                 energy_report(system, state, dt_fd)))
 
     if collect_series:
@@ -316,13 +317,15 @@ def peak_errors(result: SimulateResult, interface_id) -> dict:
     """
     if not result.converged:
         raise ValueError("needs a converged run")
+    system = result.case.system
+    k = [c.interface_id for _, c in system.connections].index(interface_id)
     ie = result.case.exact.interfaces[interface_id]
     p_num = q_num = p_den = q_den = 0.0
     for state in result.last_period:
-        vals = state.interfaces[interface_id]
+        P, Q = float(system.interface_pressures(state)[k]), float(state.flows[k])
         pex, qex = float(ie.P(state.t)), float(ie.Q(state.t))
-        p_num = max(p_num, abs(vals.P - pex))
-        q_num = max(q_num, abs(vals.Q - qex))
+        p_num = max(p_num, abs(P - pex))
+        q_num = max(q_num, abs(Q - qex))
         p_den = max(p_den, abs(pex))
         q_den = max(q_den, abs(qex))
     return {"P": p_num / p_den, "Q": q_num / q_den}

@@ -32,7 +32,9 @@ once per system for every dt.
 products M v of its velocities, formed once by the code that forms the
 velocities: stage 1 for a new state, stage 2 hands them on with the
 velocities.  The next stage-1 right-hand side and the observers' kinetic
-energies and norms all read them from the state.
+energies and norms all read them from the state.  A state keeps Q_k and
+pi_k in arrays in circuit order, and each array of a state is read-only from
+where it is formed: none can change under the mass products formed from it.
 """
 from __future__ import annotations
 
@@ -60,22 +62,21 @@ class Domain:
     body_load: Optional[TimeSeparable] = None
 
 
-@dataclass(frozen=True)
-class InterfaceValues:
-    P: float
-    Q: float
-    pi: float
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only where it is formed as part of a state."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class CoupledState:
-    """The coupled state at time t, immutable down to its sequences of
-    arrays: each stage returns a new one, sharing only arrays it leaves as
-    they are."""
+    """The coupled state at time t, immutable down to its arrays: each
+    stage returns a new one, sharing only arrays it leaves as they are."""
     velocities: tuple
     pressures: tuple
     y: np.ndarray               # the circuit state
-    interfaces: dict            # interface_id -> InterfaceValues
+    flows: np.ndarray           # Q_k of each connection, in circuit order
+    node_pressures: np.ndarray  # stage 1's pi_k of each connection
     t: float
     # M v of each velocity (CoupledSystem.mass_products); None only on the
     # states a run's period tracker keeps, `SimulateResult.last_period`
@@ -119,6 +120,8 @@ class CoupledSystem:
         self.explicit_pi = explicit_pi
         # (domain index, connection), in circuit order
         self.connections = [(c.interface_id[0] - 1, c) for c in circuit.connections]
+        self.resistances = np.array([c.resistance for c in circuit.connections], dtype=float)
+        self.pi_indices = np.array([c.pi_index for c in circuit.connections], dtype=np.intp)
         self._step1_cache = {}
         self._validate()
 
@@ -157,16 +160,20 @@ class CoupledSystem:
         return Step1Layout(velocity, pressure, q, q + 1, off + 2 * len(self.connections))
 
     def zero_state(self) -> CoupledState:
-        vels = tuple(np.zeros(d.space.n_velocity) for d in self.domains)
-        prs = tuple(np.zeros(d.space.n_pressure) for d in self.domains)
-        ifs = {c.interface_id: InterfaceValues(0.0, 0.0, 0.0)
-               for _, c in self.connections}
-        return CoupledState(vels, prs, np.zeros(self.circuit.dim), ifs, 0.0,
-                            self.mass_products(vels))
+        vels = tuple(read_only(np.zeros(d.space.n_velocity)) for d in self.domains)
+        prs = tuple(read_only(np.zeros(d.space.n_pressure)) for d in self.domains)
+        flows, node_pressures = read_only(np.zeros((2, len(self.connections))))
+        return CoupledState(vels, prs, read_only(np.zeros(self.circuit.dim)), flows,
+                            node_pressures, 0.0, self.mass_products(vels))
 
     def mass_products(self, velocities) -> tuple:
-        """M v of each domain's velocity."""
-        return tuple(dom.ops.M @ v for dom, v in zip(self.domains, velocities))
+        """M v of each domain's velocity, read-only."""
+        return tuple(read_only(sparse.apply_in_range(dom.ops.M.dot, v))
+                     for dom, v in zip(self.domains, velocities))
+
+    def interface_pressures(self, state) -> np.ndarray:
+        """P_k = pi_k + R_k Q_k of a state's or a series row's connections."""
+        return state.node_pressures + self.resistances * state.flows
 
     def step1_solver(self, dt: float) -> "_Step1Solver":
         if dt not in self._step1_cache:
@@ -228,6 +235,7 @@ class _Step1Solver:
         self.dt = dt
         self.layout = layout = system.step1_layout
         self.n = layout.n
+        self.border = np.array([layout.q, layout.pi])   # gathered, so no state keeps x alive
         self.lagged = []
 
         blocks = []   # (rows, cols, values) of each block
@@ -283,8 +291,7 @@ class _Step1Solver:
             if coefficients is not None:
                 r += dom.body_load.vector(coefficients)[free]
             rhs[layout.velocity[d]] = r
-        for b, (_, conn) in enumerate(sys_.connections):
-            rhs[layout.pi[b]] = state.y[conn.pi_index]
+        rhs[layout.pi] = state.y[sys_.pi_indices]
         for positions, phi, index in self.lagged:
             rhs[positions] -= state.y[index] * phi
 
@@ -298,17 +305,13 @@ class _Step1Solver:
         for d, dom in enumerate(sys_.domains):
             v = np.zeros(dom.space.n_velocity)
             v[dom.space.free] = x[layout.velocity[d]]
-            vels.append(v)
-        prs = tuple(x[positions] for positions in layout.pressure)
+            vels.append(read_only(v))
+        prs = tuple(read_only(x[positions]) for positions in layout.pressure)
+        flows, node_pressures = read_only(x[self.border])
         y = state.y.copy()
-        interfaces = {}
-        for b, (_, conn) in enumerate(sys_.connections):
-            Q = float(x[layout.q[b]])
-            pi = float(x[layout.pi[b]])
-            y[conn.pi_index] = pi
-            interfaces[conn.interface_id] = InterfaceValues(pi + conn.resistance * Q, Q, pi)
-        return CoupledState(tuple(vels), prs, y, interfaces, state.t,
-                            sys_.mass_products(vels))
+        y[sys_.pi_indices] = node_pressures
+        return CoupledState(tuple(vels), prs, read_only(y), flows, node_pressures,
+                            state.t, sys_.mass_products(vels))
 
 
 # A run evaluates its time-only inputs for at most this many steps at once,
@@ -362,8 +365,8 @@ def step2(system: CoupledSystem, state: CoupledState, dt: float,
     clock move.  `sources` is this step's (s_sub, dim) slice of
     `stage2_sources`, as `run` hands it over."""
     y = step2_integrate(system.circuit, state.y, state.t, s_sub, dt / s_sub, sources)
-    return CoupledState(state.velocities, state.pressures, y,
-                        state.interfaces, state.t + dt, state.mass_products)
+    return CoupledState(state.velocities, state.pressures, read_only(y), state.flows,
+                        state.node_pressures, state.t + dt, state.mass_products)
 
 
 @dataclass

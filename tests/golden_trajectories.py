@@ -85,16 +85,17 @@ def _hex(x) -> str:
     return float(x).hex()
 
 
-def state_digest(state) -> str:
-    """sha256 over the clock, every array's little-endian bytes (the mass
-    products among them) and the interface values in interface order."""
+def state_digest(state, system) -> str:
+    """sha256 over the clock, every field array's little-endian bytes (the
+    mass products among them) and each connection's P, Q and pi, in the
+    order of the interface ids."""
     h = hashlib.sha256(_hex(state.t).encode())
     for arrays in (state.velocities, state.pressures, [state.y], state.mass_products):
         for a in arrays:
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    for iid in sorted(state.interfaces):
-        iv = state.interfaces[iid]
-        h.update(" ".join(map(_hex, (iv.P, iv.Q, iv.pi))).encode())
+    values = zip(system.interface_pressures(state), state.flows, state.node_pressures)
+    for _, PQpi in sorted(zip((c.interface_id for _, c in system.connections), values)):
+        h.update(" ".join(map(_hex, PQpi)).encode())
     return h.hexdigest()
 
 
@@ -110,7 +111,7 @@ def periodic_records() -> list:
             "gaps": {str(p): _hex(g) for p, g in sorted(res.gaps.items())},
             "errors": {k: _hex(getattr(res.errors, k))
                        for k in ("err_v", "err_p", "err_y")},
-            "final_state_sha256": state_digest(s),
+            "final_state_sha256": state_digest(s, case.system),
             "final_state_norms": [_hex(np.linalg.norm(a))
                                   for a in (*s.velocities, *s.pressures, s.y)],
         })

@@ -5,13 +5,14 @@ byte; elsewhere within golden_trajectories.TOLERANCES.  Either way the test
 prints which comparison ran.  To regenerate, see golden_trajectories.py.
 """
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import golden_trajectories as gt
-from stokes0d import build_case
+from stokes0d import CoupledSystem, build_case
 
 
 def _load(name):
@@ -103,45 +104,70 @@ def test_tolerance_comparison(name, fresh):
         CHECKS[name](_moved(name, fresh[name]), want)
 
 
-def _flipped(x):
-    """x with the lowest bit of its last entry flipped."""
+def _flipped(x, i=-1):
+    """x with the lowest bit of its entry i flipped."""
     a = np.array(x, dtype="<f8")
-    a.reshape(-1).view("<i8")[-1] ^= 1
+    a.reshape(-1).view("<i8")[i] ^= 1
     return a if np.ndim(x) else float(a)
+
+
+# the per-connection fields, whose every entry is one interface's value
+CONNECTION_FIELDS = ("flows", "node_pressures")
 
 
 def _changed_states(state):
     """(what changed, state) for each change of one value of one field of
-    `state`: the last bit of each array and of the clock, each interface value."""
+    `state`: the last bit of each field array and of the clock, and of each
+    connection's Q and pi."""
     for field in dataclasses.fields(state):
         name, value = field.name, getattr(state, field.name)
-        if isinstance(value, (float, np.ndarray)):
+        if name in CONNECTION_FIELDS:
+            for k in range(len(value)):
+                yield f"{name}[{k}]", dataclasses.replace(state, **{name: _flipped(value, k)})
+        elif isinstance(value, (float, np.ndarray)):
             yield name, dataclasses.replace(state, **{name: _flipped(value)})
         elif isinstance(value, tuple):
             for k, a in enumerate(value):
                 arrays = (*value[:k], _flipped(a), *value[k + 1:])
                 yield f"{name}[{k}]", dataclasses.replace(state, **{name: arrays})
-        elif isinstance(value, dict):
-            for key, iv in value.items():
-                for part in dataclasses.fields(iv):
-                    moved = dataclasses.replace(
-                        iv, **{part.name: _flipped(getattr(iv, part.name))})
-                    yield (f"{name}[{key}].{part.name}",
-                           dataclasses.replace(state, **{name: {**value, key: moved}}))
         else:
             raise TypeError(f"no change defined for state field {name}: {type(value)}")
 
 
 def test_state_digest_sees_every_field():
     # a field the digest leaves out would drop out of the bitwise check
-    state = build_case(2, nx=4, ny=2).initial_state()
-    base = gt.state_digest(state)
+    case = build_case(2, nx=4, ny=2)
+    system, state = case.system, case.initial_state()
+    base = gt.state_digest(state, system)
     changed = list(_changed_states(state))
-    # t, velocities, pressures, y, P/Q/pi, mass products
-    assert len(changed) == 1 + 2 + 2 + 1 + 3 * 2 + 2
+    # t, velocities, pressures, y, Q and pi of both connections, mass products
+    assert len(changed) == 1 + 2 + 2 + 1 + 2 * 2 + 2
     for what, other in changed:
-        assert gt.state_digest(other) != base, what
-    assert gt.state_digest(state) == base
+        assert gt.state_digest(other, system) != base, what
+    assert gt.state_digest(state, system) == base
+
+
+def test_state_digest_orders_the_interface_values_by_id():
+    # P, Q and pi of each connection as float.hex, in the order of the
+    # interface ids whatever the circuit's order: the text that the digest
+    # hashed when a state kept these values by interface id
+    case = build_case(3, nx=4, ny=2)
+    system, state = case.system, case.initial_state()
+    h = hashlib.sha256(state.t.hex().encode())
+    for arrays in (state.velocities, state.pressures, [state.y], state.mass_products):
+        for a in arrays:
+            h.update(a.astype("<f8").tobytes())
+    for iid in sorted(c.interface_id for c in system.circuit.connections):
+        k, conn = next((k, c) for k, (_, c) in enumerate(system.connections)
+                       if c.interface_id == iid)
+        Q, pi = float(state.flows[k]), float(state.node_pressures[k])
+        h.update(" ".join(x.hex() for x in (pi + conn.resistance * Q, Q, pi)).encode())
+    assert gt.state_digest(state, system) == h.hexdigest()
+    swapped = CoupledSystem(system.domains, dataclasses.replace(
+        system.circuit, connections=system.circuit.connections[::-1]))
+    reordered = dataclasses.replace(state, flows=state.flows[::-1],
+                                    node_pressures=state.node_pressures[::-1])
+    assert gt.state_digest(reordered, swapped) == h.hexdigest()
 
 
 def test_diff_names_each_changed_field():

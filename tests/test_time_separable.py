@@ -125,7 +125,8 @@ def test_error_norms_match_the_summed_field(cases_20x4, key):
         vels = [v + 1e-2 * rng.standard_normal(v.shape) for v in start.velocities]
         states.append(CoupledState(
             vels, [p + 1e-1 * rng.standard_normal(p.shape) for p in start.pressures],
-            1.01 * start.y, start.interfaces, t, case.system.mass_products(vels)))
+            1.01 * start.y, start.flows, start.node_pressures, t,
+            case.system.mass_products(vels)))
     got = error_norms(case.system, states, case.exact, 0.05)
     assert [x.hex() for x in vars(got).values()] == \
         oracle_error_norms(case.system, states, case.exact, 0.05)
