@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import energy, eval_B
+from .circuits import energy, eval_B, weights
 from .fem import TimeSeparable, interpolate_pressure, interpolate_velocity
 from .sparse import apply_in_range
 
@@ -113,7 +113,7 @@ def step1_energy_residual(system, previous, intermediate, dt: float):
         if dom.body_load is not None:
             rhs += float(dom.body_load(t_new) @ vs)
     y_n, y_star = previous.y, intermediate.y
-    U = system.circuit.U(y_star, t_new)
+    U = weights(system.circuit, y_star, t_new)
     lhs += float(y_star @ (U * y_star)) / dt
     rhs += float(y_n @ (U * y_star)) / dt
     # the resistive terms added in circuit order, one at a time

@@ -27,25 +27,12 @@ from .splitting import CoupledState, CoupledSystem, Domain, read_only
 DEFAULT_SUBSTEPS = {1: 5, 2: 10, 3: 10}
 
 
-def _layouts(example: int):
-    if example == 1:
-        return [{
-            "left": msh.external(), "right": msh.interface(1, 1, 1),
-            "top": msh.wall(), "bottom": msh.wall(),
-        }]
-    if example == 2:
-        return [
-            {"left": msh.external(), "right": msh.interface(1, 1, 1),
-             "top": msh.wall(), "bottom": msh.wall()},
-            {"left": msh.interface(2, 1, 1), "right": msh.external(),
-             "top": msh.wall(), "bottom": msh.wall()},
-        ]
-    if example == 3:
-        return [{
-            "left": msh.interface(1, 1, 2), "right": msh.interface(1, 1, 1),
-            "top": msh.wall(), "bottom": msh.wall(),
-        }]
-    raise ValueError(f"example must be 1, 2 or 3, got {example}")
+# each benchmark's channels by their (left, right) sides; all have walls top and bottom
+CHANNEL_SIDES = {
+    1: [(msh.external(), msh.interface(1, 1, 1))],
+    2: [(msh.external(), msh.interface(1, 1, 1)), (msh.interface(2, 1, 1), msh.external())],
+    3: [(msh.interface(1, 1, 2), msh.interface(1, 1, 1))],
+}
 
 
 def TimeSeparableLoad(space, ops, terms, pbar) -> TimeSeparable:
@@ -108,7 +95,8 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
     exact = exact_for(example, nonlinear=nonlinear, params=p)
 
     domains = []
-    for layout, dex in zip(_layouts(example), exact.domains):
+    for (left, right), dex in zip(CHANNEL_SIDES[example], exact.domains):
+        layout = {"left": left, "right": right, "top": msh.wall(), "bottom": msh.wall()}
         mesh = msh.build_rect_mesh(msh.RectDomain(p.L, p.H), nx, ny, layout)
         space = build_space(mesh)
         ops = assemble_operators(space)

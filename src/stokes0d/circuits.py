@@ -22,11 +22,13 @@ at every substep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.special import expit
 
 from .params import Example1Params, Example2Params, Example3Params
 
@@ -91,10 +93,21 @@ def eval_B(spec: CircuitSpec, y, t, dt_fd: float) -> np.ndarray:
     return -np.diag(spec.U(y, t)) @ A - 0.5 * np.diag((up - dn) / (2.0 * dt_fd))
 
 
+def weights(spec: CircuitSpec, y, t) -> np.ndarray:
+    """U(y, t), the weights of the circuit energy.  Raises where an entry is
+    not positive, since the energy is then no norm (a NaN entry passes)."""
+    u = spec.U(y, t)
+    if (u <= 0).any():
+        k = int(np.argmax(u <= 0))
+        raise ValueError(f"U[{k}] = {u[k]:.3g} is not positive at t={t:.6g}: "
+                         "the circuit energy is no longer a norm")
+    return u
+
+
 def energy(spec: CircuitSpec, y, t) -> float:
     """(1/2) ||U^{1/2} y||^2, the stored circuit energy."""
     y = np.asarray(y, dtype=float)
-    return 0.5 * float(y @ (spec.U(y, t) * y))
+    return 0.5 * float(y @ (weights(spec, y, t) * y))
 
 
 def _factor(matrix: np.ndarray, t: float):
@@ -145,34 +158,15 @@ def step2_integrate(spec: CircuitSpec, y, t: float, n_sub: int,
 
 # nonlinear element laws of the first benchmark circuit
 
-def _may_overflow(x, p: Example1Params) -> bool:
-    """Whether exp(x) of a resistance law, or the law's (1 + alpha1 exp(x))^2,
-    can overflow: for a scalar x above 100 (exp(100) = 2.7e43) or an |alpha1|
-    of 1e100 or more, and for any array x, whose check would cost as much as
-    the guard itself."""
-    return isinstance(x, np.ndarray) or x > 100.0 or not abs(p.alpha1) < 1e100
-
-
 def resistance_a(pi: float, p: Example1Params) -> float:
-    x = -p.alpha2 * pi
-    if not _may_overflow(x, p):
-        return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(x))
-    # exp overflows for a very negative pi; the law then reads its limit Rbar_a
-    with np.errstate(over="ignore"):
-        return p.Rbar_a + p.alpha0 / (1.0 + p.alpha1 * np.exp(x))
+    """R_a(pi) = Rbar_a + alpha0 / (1 + alpha1 exp(-alpha2 pi)), written with
+    the logistic expit, which neither overflows nor warns."""
+    return p.Rbar_a + p.alpha0 * expit(p.alpha2 * pi - math.log(p.alpha1))
 
 
 def resistance_a_prime(pi: float, p: Example1Params) -> float:
-    x = -p.alpha2 * pi
-    if not _may_overflow(x, p):
-        e = p.alpha1 * np.exp(x)
-        return p.alpha0 * p.alpha2 * e / (1.0 + e) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = p.alpha1 * np.exp(x)
-        den = (1.0 + e) ** 2
-        d = p.alpha0 * p.alpha2 * e / den
-    # the derivative tends to 0 as e grows; past overflow it would read inf/inf
-    return np.where(den == np.inf, 0.0, d)[()]
+    z = p.alpha2 * pi - math.log(p.alpha1)
+    return p.alpha0 * p.alpha2 * expit(z) * expit(-z)
 
 
 def capacitance_a(omega_state: float, p: Example1Params) -> float:

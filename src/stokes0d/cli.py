@@ -13,8 +13,7 @@ from pathlib import Path
 
 from .cases import DEFAULT_SUBSTEPS, build_case
 from .exact import verify_exact
-from .harness import (convergence_study, peak_errors, run_to_periodicity,
-                      stability_run)
+from .harness import convergence_study, run_to_periodicity, stability_run
 from .params import params_for
 from .splitting import check_positive
 
@@ -174,31 +173,26 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_convergence(cfg) -> int:
-    peaks = {}
-
-    def on_result(dt, res):
-        if cfg.example == 1:
-            peaks[dt] = peak_errors(res, (1, 1, 1))
-
     study = convergence_study(
         lambda: build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx,
                            ny=cfg.ny, params=parameters(cfg)),
         cfg.dt_list, eps_per=cfg.eps_per, max_periods=cfg.max_periods,
-        s_sub=substeps(cfg), on_result=on_result)
+        s_sub=substeps(cfg))
 
     lines = ["[convergence]", f"example = {cfg.example}",
              f"nonlinear = {str(cfg.nonlinear).lower()}", "",
              "[errors]", "dt,err_v,err_p,err_y,periods"]
-    for dt, err, periods in study.rows:
+    for dt, err, periods, _ in study.rows:
         lines.append(f"{_fmt(dt)},{_fmt(err.err_v)},{_fmt(err.err_p)},"
                      f"{_fmt(err.err_y)},{periods}")
     if study.slopes:
         lines += ["", "[slopes]"]
         lines += [f"{k} = {_fmt(v)}" for k, v in sorted(study.slopes.items())]
-    if peaks:
+    if cfg.example == 1:
         lines += ["", "[peak errors, interface 1_1_1]", "dt,P,Q"]
-        for dt in sorted(peaks, reverse=True):
-            lines.append(f"{_fmt(dt)},{_fmt(peaks[dt]['P'])},{_fmt(peaks[dt]['Q'])}")
+        for dt, _, _, peaks in study.rows:
+            peak = peaks[(1, 1, 1)]
+            lines.append(f"{_fmt(dt)},{_fmt(peak['P'])},{_fmt(peak['Q'])}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if cfg.out:

@@ -263,21 +263,22 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
 
 @dataclass
 class ConvergenceResult:
-    rows: list                  # (dt, ErrorReport, periods)
+    rows: list                  # (dt, ErrorReport, periods, peaks), peaks
+                                # interface_id -> peak_errors of the run
     slopes: dict                # "v" / "p" / "y" -> fitted slope, when >= 2 rows
 
     def errors(self, which: str):
         key = {"v": "err_v", "p": "err_p", "y": "err_y"}[which]
-        return [(dt, getattr(err, key)) for dt, err, _ in self.rows]
+        return [(dt, getattr(err, key)) for dt, err, *_ in self.rows]
 
 
 def convergence_study(case_builder, dt_list, eps_per: float = 1e-6, max_periods: int = 10,
-                      s_sub: int | None = None, on_result=None) -> ConvergenceResult:
-    """Run simulate-to-periodicity for each dt and fit log-log slopes.
+                      s_sub: int | None = None) -> ConvergenceResult:
+    """Run simulate-to-periodicity for each dt, largest first, and fit
+    log-log slopes.
 
     `case_builder()` must return a fresh Case (runs are independent); the
     first is built up front to check every dt against its period.
-    `on_result(dt, SimulateResult)` is called after each run when given.
     """
     dts = [float(dt) for dt in dt_list]
     if len(dts) != len(set(dts)):
@@ -299,9 +300,9 @@ def convergence_study(case_builder, dt_list, eps_per: float = 1e-6, max_periods:
         if not res.converged:
             raise RuntimeError(f"no periodicity within {max_periods} periods "
                                f"at dt={dt} (last gap {res.final_gap})")
-        rows.append((dt, res.errors, res.periods))
-        if on_result is not None:
-            on_result(dt, res)
+        peaks = {c.interface_id: peak_errors(res, c.interface_id)
+                 for _, c in case.system.connections}
+        rows.append((dt, res.errors, res.periods, peaks))
     result = ConvergenceResult(rows, {})
     if len(rows) >= 2:
         result.slopes.update({which: convergence_rate(result.errors(which))

@@ -31,7 +31,7 @@ class _CommonParams:
         bad = [f"{n}={getattr(self, n)}" for n in self.PHYSICAL
                if not getattr(self, n) > 0]
         if bad:
-            raise ValueError(f"physical parameters must be positive: {', '.join(bad)}")
+            raise ValueError(f"parameters must be positive: {', '.join(bad)}")
 
     @property
     def tau(self) -> float:
@@ -70,6 +70,7 @@ class Example1Params(_CommonParams):
     a0: float = 150.0         # pressure profile a0 + a1 exp(-k x)
     a1: float = 1000.0
 
+    PHYSICAL = _CommonParams.PHYSICAL + ("alpha1",)  # the law takes ln alpha1
     CIRCUIT_ELEMENTS = ("R11_1", "C11_1", "Rbar_a", "Cbar_a", "R_b")
 
 

@@ -12,7 +12,7 @@ from stokes0d import (StepConfig, build_case, build_rect_mesh, build_space, eval
                       exact_for, run, verify_exact)
 from stokes0d.circuits import capacitance_a, resistance_a
 from stokes0d.fem import assemble_operators, boundary_flux_vector
-from stokes0d.harness import convergence_study, peak_errors, stability_run
+from stokes0d.harness import convergence_study, stability_run
 from stokes0d.mesh import RectDomain, external, interface, wall
 
 DTS = (0.01, 0.005, 0.001)
@@ -27,20 +27,11 @@ def _verdict(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def convergence_results():
-    out = {}
-    for example, nonlinear in ((1, True), (2, False), (3, False)):
-        peaks = {}
-
-        def on_result(dt, res, peaks=peaks, example=example):
-            if example == 1:
-                peaks[dt] = peak_errors(res, (1, 1, 1))
-
-        study = convergence_study(
-            lambda example=example, nonlinear=nonlinear: build_case(
-                example, nonlinear=nonlinear, nx=100, ny=20),
-            DTS, eps_per=1e-6, max_periods=10, on_result=on_result)
-        out[example] = (study, peaks)
-    return out
+    return {example: convergence_study(
+                lambda example=example, nonlinear=nonlinear: build_case(
+                    example, nonlinear=nonlinear, nx=100, ny=20),
+                DTS, eps_per=1e-6, max_periods=10)
+            for example, nonlinear in ((1, True), (2, False), (3, False))}
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +44,7 @@ def stability_results():
 def test_criterion_1_first_order_convergence(convergence_results):
     ok = True
     details = []
-    for example, (study, _) in convergence_results.items():
+    for example, study in convergence_results.items():
         errs = {w: [e for _, e in study.errors(w)] for w in ("v", "p", "y")}
         for w, vals in errs.items():
             decreasing = all(a > b for a, b in zip(vals, vals[1:]))
@@ -107,7 +98,7 @@ def test_criterion_4_oracle_self_consistency():
 
 @pytest.mark.slow
 def test_criterion_5_flow_peaks_attenuated(convergence_results):
-    _, peaks = convergence_results[1]
+    peaks = {dt: row_peaks[(1, 1, 1)] for dt, _, _, row_peaks in convergence_results[1].rows}
     q_coarse, p_coarse = peaks[0.01]["Q"], peaks[0.01]["P"]
     q_fine = peaks[0.001]["Q"]
     ok = q_coarse > p_coarse and q_fine <= q_coarse / 3.0

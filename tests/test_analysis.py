@@ -315,12 +315,44 @@ def test_convergence_study_checks_the_period_before_any_run(monkeypatch):
     assert runs == [] and len(builds) == 1
 
 
+@pytest.mark.parametrize("example, nonlinear", [(1, True), (3, False)])
+def test_convergence_rows_carry_the_peak_errors_of_their_run(example, nonlinear):
+    # benchmark 3 has two connections, so a row holds two interfaces' peaks
+    study = convergence_study(lambda: coarse_case(example, nonlinear=nonlinear), [0.05])
+    ((dt, err, periods, peaks),) = study.rows
+    res = run_to_periodicity(coarse_case(example, nonlinear=nonlinear), dt,
+                             collect_series=False)
+    assert (dt, err, periods) == (0.05, res.errors, res.periods)
+    ids = [c.interface_id for _, c in res.case.system.connections]
+    assert list(peaks) == ids
+    for interface_id in ids:
+        want = peak_errors(res, interface_id)
+        assert {k: v.hex() for k, v in peaks[interface_id].items()} == \
+            {k: v.hex() for k, v in want.items()}
+
+
 def test_stability_run_fails_when_the_energy_goes_nan():
     params = dataclasses.replace(params_for(1), R_b=float("nan"))
     case = build_case(1, nx=8, ny=2, zero_forcing=True, params=params)
     rep = stability_run(case, 1.0, 3)
     assert np.isnan(rep.max_increase) and np.isnan(rep.chain_violation)
     assert not rep.passed()
+
+
+def test_energy_report_fails_where_the_circuit_energy_stops_being_a_norm():
+    # nonlinear benchmark 1 from a negative volume: stage 2 takes omega below
+    # -1/gamma1, where C_a and so U[1] = 1/C_a turn negative, in the 8th step
+    case = coarse_case(1, nonlinear=True, zero_forcing=True)
+    system = case.system
+    start = dataclasses.replace(system.zero_state(), y=np.array([-1887.0, -0.167]))
+    reports = [full_energy_report(case, start)]
+
+    def observe(record):
+        reports.append(full_energy_report(case, record.state))
+
+    with pytest.raises(ValueError, match=r"^U\[1\] = -5\.52 is not positive at t=0\.008:"):
+        run(system, start, StepConfig(1e-3, case.s_sub), 50, observers=(observe,))
+    assert len(reports) == 8 and reports[0].total > 0
 
 
 @pytest.mark.parametrize("n_steps", [0, -3])

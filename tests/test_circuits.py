@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 import stokes0d.circuits as circuits_module
@@ -320,6 +322,27 @@ def test_resistance_laws_at_a_very_negative_pressure():
         assert resistance_a(pi, p) == p.Rbar_a + p.alpha0 / (1.0 + e)
         assert resistance_a_prime(pi, p) == p.alpha0 * p.alpha2 * e / (1.0 + e) ** 2
         assert d[k] == resistance_a_prime(pi, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pi=st.floats(-1e7, 1e7), log_alphas=st.tuples(
+    st.floats(-2, 3), st.floats(-6, 6), st.floats(-6, 2)))
+def test_resistance_laws_are_a_bounded_logistic(pi, log_alphas):
+    alpha0, alpha1, alpha2 = (10.0 ** e for e in log_alphas)
+    p = Example1Params(alpha0=alpha0, alpha1=alpha1, alpha2=alpha2)
+    # a central difference over 2e-4 of the law's width 1/alpha2
+    lo, hi = pi - 1e-4 / alpha2, pi + 1e-4 / alpha2
+    pis = np.array([pi, lo, hi])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, d = resistance_a(pis, p), resistance_a_prime(pis, p)
+        scalars = [(resistance_a(x, p), resistance_a_prime(x, p)) for x in pis.tolist()]
+    assert r.tobytes() == np.array([a for a, _ in scalars]).tobytes()
+    assert d.tobytes() == np.array([b for _, b in scalars]).tobytes()
+    assert np.all((p.Rbar_a <= r) & (r <= p.Rbar_a + alpha0))
+    assert np.all(np.isfinite(d)) and np.all(d >= 0.0)
+    central = (r[2] - r[1]) / (hi - lo)
+    assert abs(d[0] - central) <= 1e-6 * alpha0 * alpha2
 
 
 def test_step2_input_validation():

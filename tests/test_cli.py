@@ -304,6 +304,15 @@ def test_convergence_single_dt_no_slope(tmp_path, capsys):
     assert (tmp_path / "convergence.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_simulate_rejects_a_non_positive_alpha1(tmp_path, capsys, value):
+    # the resistance law of nonlinear benchmark 1 takes ln alpha1
+    rc = main(["simulate", "--nonlinear", "--dt", "0.05", *COARSE, "--max-periods", "1",
+               "--out", str(tmp_path), "--set", f"alpha1={value}"])
+    assert rc == 2
+    assert f"alpha1={float(value)}" in capsys.readouterr().err
+
+
 def test_convergence_duplicate_dts_rejected(capsys):
     rc = main(["convergence", "--example", "1", "--dt-list", "0.01,0.01", *COARSE])
     assert rc == 2
@@ -317,6 +326,10 @@ def test_convergence_two_dts_slope(capsys):
     assert "[slopes]" in out
     v_line = [l for l in out.splitlines() if l.startswith("v =")][0]
     assert 0.5 <= float(v_line.split("=")[1]) <= 1.5
+    # benchmark 1's peak errors follow, one line per row in the rows' order
+    block = out.split("[peak errors, interface 1_1_1]\n")[1].splitlines()
+    assert block[0] == "dt,P,Q"
+    assert [line.split(",")[0] for line in block[1:]] == ["0.05", "0.025"]
 
 
 @pytest.mark.parametrize("example", ["1", "2", "3"])
