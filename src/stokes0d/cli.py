@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cases import DEFAULT_SUBSTEPS, build_case
+from .cases import build_case
 from .exact import verify_exact
 from .harness import convergence_study, run_to_periodicity, stability_run
 from .params import params_for
@@ -84,10 +84,11 @@ def _config_flags(path: str, reads) -> list:
     return [flag for group in flags.values() for flag in group]
 
 
-def substeps(cfg) -> int:
+def substeps(cfg) -> int | None:
+    """The stage-2 substeps, None for the case's own default (`--sub 0`)."""
     if cfg.sub < 0:
         raise ValueError(f"sub must be >= 0 (0 = per-example default), got sub={cfg.sub}")
-    return cfg.sub if cfg.sub > 0 else DEFAULT_SUBSTEPS[cfg.example]
+    return cfg.sub or None
 
 
 def parameters(cfg):
@@ -126,7 +127,7 @@ def _write_summary(path: Path, cfg, result) -> None:
         f"example = {cfg.example}",
         f"nonlinear = {str(cfg.nonlinear).lower()}",
         f"dt = {_fmt(cfg.dt)}",
-        f"sub = {substeps(cfg)}",
+        f"sub = {result.s_sub}",
         f"n_tau = {result.n_tau}",
         f"converged = {str(result.converged).lower()}",
         f"periods = {result.periods}",

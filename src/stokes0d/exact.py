@@ -110,9 +110,10 @@ def example1_exact(p: Example1Params | None = None, nonlinear: bool = False) -> 
     d2pi_t = lambda t: c_pi * d2s(t)
 
     if nonlinear:
-        def w_dw(t, pi, ra):
-            """w(t) and dw/dt(t), given pi = pi_t(t) and ra = R_a(pi)."""
-            dpi = dpi_t(t)
+        def circuit_values(t):
+            """w(t), dw/dt(t), R_a and C_a on the exact solution at time t."""
+            pi, dpi = pi_t(t), dpi_t(t)
+            ra = circ.resistance_a(pi, p)
             X = pi - ra * (Q_t(t) - p.C11_1 * dpi)
             dra = circ.resistance_a_prime(pi, p) * dpi
             dX = dpi - dra * (Q_t(t) - p.C11_1 * dpi) - ra * (dQ_t(t) - p.C11_1 * d2pi_t(t))
@@ -120,40 +121,25 @@ def example1_exact(p: Example1Params | None = None, nonlinear: bool = False) -> 
             if np.any(np.asarray(disc) < 0):
                 raise ValueError("negative discriminant in the volume formula; "
                                  "invalid parameter regime")
-            return (-1.0 + np.sqrt(disc)) / (2.0 * p.gamma1), p.Cbar_a * dX / np.sqrt(disc)
-
-        def w_t(t):
-            pi = pi_t(t)
-            return w_dw(t, pi, circ.resistance_a(pi, p))[0]
-
-        def dw_t(t):
-            pi = pi_t(t)
-            return w_dw(t, pi, circ.resistance_a(pi, p))[1]
+            w = (-1.0 + np.sqrt(disc)) / (2.0 * p.gamma1)
+            return w, p.Cbar_a * dX / np.sqrt(disc), ra, p.Cbar_a / (1.0 + p.gamma1 * w)
     else:
-        # gamma1 = 0 limit: w = Cbar_a [pi - Rbar_a (Q - C11 dpi/dt)]
-        def w_t(t):
-            return p.Cbar_a * (pi_t(t) - p.Rbar_a * (Q_t(t) - p.C11_1 * dpi_t(t)))
-
-        def dw_t(t):
-            return p.Cbar_a * (dpi_t(t) - p.Rbar_a * (dQ_t(t) - p.C11_1 * d2pi_t(t)))
+        def circuit_values(t):
+            """The gamma1 = 0 limit: w = Cbar_a [pi - Rbar_a (Q - C11 dpi/dt)]."""
+            w = p.Cbar_a * (pi_t(t) - p.Rbar_a * (Q_t(t) - p.C11_1 * dpi_t(t)))
+            dw = p.Cbar_a * (dpi_t(t) - p.Rbar_a * (dQ_t(t) - p.C11_1 * d2pi_t(t)))
+            return w, dw, p.Rbar_a, p.Cbar_a
 
     def p_tilde(t):
-        pi = pi_t(t)
-        if nonlinear:
-            ra = circ.resistance_a(pi, p)
-            w, dw = w_dw(t, pi, ra)
-            ca = p.Cbar_a / (1.0 + p.gamma1 * w)
-        else:
-            w, dw = w_t(t), dw_t(t)
-            ra, ca = p.Rbar_a, p.Cbar_a
-        return (p.R_b * dw - (p.R_b / ra) * pi
+        w, dw, ra, ca = circuit_values(t)
+        return (p.R_b * dw - (p.R_b / ra) * pi_t(t)
                 + (p.R_b / ca) * (1.0 / ra + 1.0 / p.R_b) * w)
 
     dom = DomainExact(**fields, pbar=lambda t: s(t) * Pr(0.0))
     return ExactSolutionSet(
         params=p, tau=p.tau, domains=(dom,),
-        y=lambda t: np.array([pi_t(t), w_t(t)]),
-        dy_dt=lambda t: np.array([dpi_t(t), dw_t(t)]),
+        y=lambda t: np.array([pi_t(t), circuit_values(t)[0]]),
+        dy_dt=lambda t: np.array([dpi_t(t), circuit_values(t)[1]]),
         interfaces={(1, 1, 1): InterfaceExact(P_t, Q_t, pi_t)},
         generators={"p_tilde": p_tilde},
     )

@@ -41,36 +41,48 @@ class _PeriodTracker:
     i - N_tau, and the pair contributes to the period in progress.  Period
     boundaries belong to both neighbours: a boundary state closes period p
     and opens p + 1, so one running sum `acc` is all that is ever open.
-    The pairs' terms are formed a chunk of consecutive states at a time
-    (`analysis.quadratic_forms`), and a chunk always closes at a period
-    boundary, so each period's gap is there when its last state is pushed.
-    The buffer keeps the latest N_tau + 1 states and the open chunk, each
-    with its velocities' squared norms v.(M v).
+    `kept` holds the latest N_tau + 1 states with their velocities' squared
+    norms v.(M v), and `pending` the (state, counterpart, counterpart's
+    norms) pairs whose terms are not formed yet: a chunk at a time
+    (`analysis.quadratic_forms`), and at every period boundary.
     """
 
     def __init__(self, system, n_per: int):
         self.system = system
         self.n_per = n_per
         self.chunk = chunk_length(system, n_per)
-        self.buffer = deque(maxlen=n_per + 1 + self.chunk)
+        self.kept = deque(maxlen=n_per + 1)
+        self.pending = []
         self.count = 0
-        self.formed = n_per     # the first state whose terms are not formed
-        self.acc = None
+        self.acc = np.zeros((2 * len(system.domains) + 1, 2))
         self.gaps = {}
 
     def push(self, state) -> None:
-        """Take the next state.  The buffer keeps it with v.(M v), all it
-        reads of the mass products, and without the products themselves: a
-        period of them would double the memory the velocities take."""
+        """Take the next state.  `kept` holds it with v.(M v), all it reads
+        of the mass products, and without the products themselves: a period
+        of them would double the memory the velocities take."""
         norms = [float(v @ mv) for v, mv in zip(state.velocities, state.mass_products)]
         kept = CoupledState(state.velocities, state.pressures, state.y, state.flows,
                             state.node_pressures, state.t, None)
-        self.buffer.append((kept, norms))
+        self.kept.append((kept, norms))
         i = self.count
         self.count += 1
-        if i >= self.n_per and (i % self.n_per == 0
-                                or self.count - self.formed == self.chunk):
-            self._close_chunk()
+        if i < self.n_per:
+            return
+        self.pending.append((kept, *self.kept[0]))      # kept[0] is state i - N_tau
+        p, offset = divmod(i, self.n_per)
+        if offset and len(self.pending) < self.chunk:
+            return
+        terms, self.pending = self._terms(self.pending), []
+        # added to the running sum one state at a time, in push order
+        self.acc = np.add.accumulate(np.concatenate((self.acc[None], terms)))[-1]
+        if not offset:
+            if p >= 2:
+                if np.any(self.acc[:, 1] <= 0.0):
+                    raise ZeroDivisionError("previous period has zero norm; "
+                                            "degenerate periodicity reference")
+                self.gaps[p] = float(np.max(self.acc[:, 0] / self.acc[:, 1]))
+            self.acc = terms[-1]
 
     def _terms(self, pairs) -> np.ndarray:
         """The (numerator, reference) gap terms of each (state, counterpart,
@@ -94,33 +106,9 @@ class _PeriodTracker:
             terms[k, -1] = float(d @ d), float(prev.y @ prev.y)
         return terms
 
-    def _close_chunk(self) -> None:
-        """Form the terms of the states pushed since the last chunk and add
-        them to the running sum one state at a time, in push order."""
-        n_new = self.count - self.formed
-        self.formed = self.count
-        end = len(self.buffer)
-        pairs = [(self.buffer[k][0], *self.buffer[k - self.n_per])
-                 for k in range(end - n_new, end)]
-        terms = self._terms(pairs)
-        if self.acc is None:    # state N_tau opens period 2
-            self.acc = terms[-1]
-            return
-        running = np.add.accumulate(np.concatenate((self.acc[None], terms)))
-        p, offset = divmod(self.count - 1, self.n_per)
-        if offset:
-            self.acc = running[-1]
-            return
-        acc = running[-1]
-        if np.any(acc[:, 1] <= 0.0):
-            raise ZeroDivisionError("previous period has zero norm; "
-                                    "degenerate periodicity reference")
-        self.gaps[p] = float(np.max(acc[:, 0] / acc[:, 1]))
-        self.acc = terms[-1]
-
     def last_period(self) -> list:
         """The latest N_tau + 1 states."""
-        return [s for s, _ in self.buffer][-(self.n_per + 1):]
+        return [s for s, _ in self.kept]
 
 
 @dataclass
@@ -201,7 +189,7 @@ def run_to_periodicity(case: Case, dt: float, s_sub: int | None = None,
             converged = True
             break
 
-    last_period = tracker.last_period() if periods >= 1 else None
+    last_period = tracker.last_period()
     errors = None
     if converged:
         errors = error_norms(system, last_period, case.exact, dt)

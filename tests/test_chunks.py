@@ -1,13 +1,17 @@
 """The observers of many states take their mass-matrix products a chunk of
 consecutive states at a time (`analysis.chunk_length`, `quadratic_forms`):
 every chunk length gives the same bits, whether one state, a few with a
-partial chunk at each period's end, or a whole period."""
+partial chunk at each period's end, or a whole period.  The period tracker
+keeps at most one period and one chunk of states."""
+import weakref
+
 import numpy as np
 import pytest
 
-from stokes0d import analysis, build_case
+from stokes0d import StepConfig, analysis, build_case, harness, run
 from stokes0d.analysis import chunk_length, error_norms, quadratic_forms
-from stokes0d.harness import run_to_periodicity
+from stokes0d.harness import periods_per_tau, run_to_periodicity
+from stokes0d.splitting import CoupledState
 
 DT = 0.05   # 40 steps per period
 CHUNKS = [1, 7, 40]
@@ -52,6 +56,38 @@ def test_the_run_has_the_same_bits_at_every_chunk_length(cases_20x4, monkeypatch
         assert sorted(res.gaps) == list(range(2, res.periods + 1))
         bits.append(_run_bits(res))
     assert bits[1:] == bits[:1] * (len(CHUNKS) - 1)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_the_tracker_keeps_one_period_and_one_chunk(cases_20x4, monkeypatch, chunk):
+    # every state the tracker keeps is a copy it makes without the mass
+    # products; count the copies alive after each push
+    case = cases_20x4[(2, False)]
+    _set_chunk(monkeypatch, case.system, chunk)
+    copies = []
+
+    def copy(*fields):
+        state = CoupledState(*fields)
+        copies.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(harness, "CoupledState", copy)
+    n_tau = periods_per_tau(case.tau, DT)
+    tracker = harness._PeriodTracker(case.system, n_tau)
+    assert tracker.chunk == chunk
+    clocks = []
+
+    def push(state):
+        tracker.push(state)
+        clocks.append(state.t)
+        assert sum(ref() is not None for ref in copies) <= n_tau + chunk
+        assert [s.t for s in tracker.last_period()] == clocks[-(n_tau + 1):]
+
+    start = case.initial_state()
+    push(start)
+    run(case.system, start, StepConfig(DT, case.s_sub), 3 * n_tau,
+        observers=(lambda record: push(record.state),))
+    assert len(clocks) == 3 * n_tau + 1 and sorted(tracker.gaps) == [2, 3]
 
 
 def test_error_norms_of_two_domains_have_the_same_bits_at_every_chunk_length(

@@ -198,9 +198,9 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
             energy_report(sys_, fresh(rec.intermediate), dt_fd).total.hex(),
             energy_report(sys_, fresh(rec.state), dt_fd).total.hex(),
             step1_energy_residual(sys_, rec.previous, fresh(rec.intermediate), 0.25)[2].hex()]
-    assert [norms for _, norms in carried.buffer] == [norms for _, norms in alone.buffer]
+    assert [norms for _, norms in carried.kept] == [norms for _, norms in alone.kept]
     # a period of kept states holds no mass products, only their norms
-    assert all(state.mass_products is None for state, _ in carried.buffer)
+    assert all(state.mass_products is None for state, _ in carried.kept)
     assert sorted(carried.gaps) == [2, 3]
     assert {p: g.hex() for p, g in carried.gaps.items()} == \
         {p: g.hex() for p, g in alone.gaps.items()}
