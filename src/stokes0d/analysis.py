@@ -47,14 +47,17 @@ def quadratic_forms(M, vectors) -> list:
 
     Several vectors take one product with M of their stack (scipy's
     csr_matvecs), whose every column is csr_matvec of that vector bit for
-    bit: the same products summed in the same order.  Each dot product runs
-    on contiguous rows, so each form has the bits of float(d @ (M @ d)).
+    bit: the same products summed in the same order.  One batched matmul
+    forms the dot products, each of a (1, n) row and an (n, 1) column,
+    which numpy hands to the same BLAS ddot as d @ md: each form has the
+    bits of float(d @ (M @ d)).
     """
     if len(vectors) == 1:
         (d,) = vectors
         return [float(d @ (M @ d))]
-    products = (M @ np.asarray(vectors).T).T.copy()
-    return [float(d @ md) for d, md in zip(vectors, products)]
+    v = np.asarray(vectors)
+    products = (M @ v.T).T.copy()
+    return np.matmul(v[:, None, :], products[:, :, None]).ravel().tolist()
 
 
 @dataclass(frozen=True)

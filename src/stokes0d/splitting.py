@@ -24,9 +24,10 @@ them once per block of up to BLOCK_STEPS steps, in one call on the block's
 whole time grid, and hands every step its slice.
 
 The stage-1 matrix does not depend on time, so it is factorized once per
-dt and reused for every step of a run.  Its unknowns are numbered in their
-elimination order, nested dissection of each domain's quadratic node grid,
-once per system for every dt.
+dt and its factors are reused for every step of a run.  A system keeps
+the factors of its latest STEP1_SOLVERS step sizes and no matrix.  Its
+unknowns are numbered in their elimination order, nested dissection of
+each domain's quadratic node grid, once per system for every dt.
 
 `run` is the only producer of a step's inputs.  Each state carries the mass
 products M v of its velocities, formed once by the code that forms the
@@ -98,6 +99,11 @@ class StepConfig:
         check_positive("dt", self.dt)
         if self.s_sub < 1:
             raise ValueError("s_sub must be >= 1")
+
+
+# A system keeps the stage-1 solvers of this many step sizes (about 26 MB
+# of factors each at 100x20): a stability sweep's three dts stay factored.
+STEP1_SOLVERS = 3
 
 
 class CoupledSystem:
@@ -176,9 +182,16 @@ class CoupledSystem:
         return state.node_pressures + self.resistances * state.flows
 
     def step1_solver(self, dt: float) -> "_Step1Solver":
-        if dt not in self._step1_cache:
-            self._step1_cache[dt] = _Step1Solver(self, dt)
-        return self._step1_cache[dt]
+        """The factorized stage 1 for dt, from a cache of at most
+        STEP1_SOLVERS solvers that drops the oldest one first."""
+        solver = self._step1_cache.get(dt)
+        if solver is None:
+            if len(self._step1_cache) >= STEP1_SOLVERS:
+                # dropped before the new one is built, so at most
+                # STEP1_SOLVERS sets of factors are alive at once
+                del self._step1_cache[next(iter(self._step1_cache))]
+            solver = self._step1_cache[dt] = _Step1Solver(self, dt)
+        return solver
 
 
 @dataclass(frozen=True)
@@ -222,9 +235,45 @@ def _dissection_keys(grid: np.ndarray) -> np.ndarray:
     return key
 
 
+def _interface_flux(system: CoupledSystem, d: int, conn) -> np.ndarray:
+    """The flux functional of connection `conn` on domain d's free velocities."""
+    dom = system.domains[d]
+    return dom.ops.flux[conn.interface_id][dom.space.free]
+
+
+def _step1_matrix(system: CoupledSystem, dt: float) -> sp.csr_matrix:
+    """The stage-1 matrix for step size dt, in the numbering of
+    `CoupledSystem.step1_layout`.  The control system leaves out the pi
+    coupling of the momentum rows, which its solver lags."""
+    layout = system.step1_layout
+    blocks = []   # (rows, cols, values) of each block
+    for d, dom in enumerate(system.domains):
+        free = dom.space.free
+        vel, prs = layout.velocity[d], layout.pressure[d]
+        Mff, Kff = (A.tocsr()[free][:, free] for A in (dom.ops.M, dom.ops.K))
+        Avv = ((dom.rho / dt) * Mff + dom.mu * Kff).tocoo()
+        blocks.append((vel[Avv.row], vel[Avv.col], Avv.data))
+        Df = dom.ops.D.tocsr()[:, free].tocoo()
+        blocks.append((prs[Df.row], vel[Df.col], Df.data))      # continuity
+        blocks.append((vel[Df.col], prs[Df.row], -Df.data))     # -D^T p
+    for b, (d, conn) in enumerate(system.connections):
+        phi = _interface_flux(system, d, conn)
+        nz = np.nonzero(phi)[0]
+        vel = layout.velocity[d][nz]
+        R, C = conn.resistance, conn.capacitance
+        qo, pio = layout.q[b], layout.pi[b]
+        blocks.append((vel, np.full(len(nz), qo), R * phi[nz]))
+        if not system.explicit_pi:
+            blocks.append((vel, np.full(len(nz), pio), phi[nz]))
+        blocks.append((np.full(len(nz), qo), vel, -phi[nz]))
+        blocks.append(([qo, pio, pio], [qo, qo, pio], [1.0, -dt / C, 1.0]))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.n, layout.n))
+
+
 class _Step1Solver:
-    """Assembled and factorized stage-1 system for one time step size, in
-    the numbering of `CoupledSystem.step1_layout`.  `lagged` holds the
+    """The factorized stage-1 system for one time step size, in the
+    numbering of `CoupledSystem.step1_layout`.  `lagged` holds the
     control system's pi coupling, (momentum positions, phi, pi's index in
     y) per connection, which `solve` moves to the right-hand side; it is
     empty for the scheme itself.
@@ -236,40 +285,19 @@ class _Step1Solver:
         self.layout = layout = system.step1_layout
         self.n = layout.n
         self.border = np.array([layout.q, layout.pi])   # gathered, so no state keeps x alive
-        self.lagged = []
-
-        blocks = []   # (rows, cols, values) of each block
-        for d, dom in enumerate(system.domains):
-            free = dom.space.free
-            vel, prs = layout.velocity[d], layout.pressure[d]
-            Mff, Kff = (A.tocsr()[free][:, free] for A in (dom.ops.M, dom.ops.K))
-            Avv = ((dom.rho / dt) * Mff + dom.mu * Kff).tocoo()
-            blocks.append((vel[Avv.row], vel[Avv.col], Avv.data))
-            Df = dom.ops.D.tocsr()[:, free].tocoo()
-            blocks.append((prs[Df.row], vel[Df.col], Df.data))      # continuity
-            blocks.append((vel[Df.col], prs[Df.row], -Df.data))     # -D^T p
-        for b, (d, conn) in enumerate(system.connections):
-            dom = system.domains[d]
-            phi = dom.ops.flux[conn.interface_id][dom.space.free]
-            nz = np.nonzero(phi)[0]
-            vel = layout.velocity[d][nz]
-            R, C = conn.resistance, conn.capacitance
-            qo, pio = layout.q[b], layout.pi[b]
-            blocks.append((vel, np.full(len(nz), qo), R * phi[nz]))
-            if system.explicit_pi:
-                self.lagged.append((layout.velocity[d], phi, conn.pi_index))
-            else:
-                blocks.append((vel, np.full(len(nz), pio), phi[nz]))
-            blocks.append((np.full(len(nz), qo), vel, -phi[nz]))
-            blocks.append(([qo, pio, pio], [qo, qo, pio], [1.0, -dt / C, 1.0]))
-
-        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-        self.matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        self.lagged = [(layout.velocity[d], _interface_flux(system, d, conn), conn.pi_index)
+                       for d, conn in system.connections] if system.explicit_pi else []
         try:
-            self.factorization = sparse.factorize(self.matrix)
+            self.factorization = sparse.factorize(_step1_matrix(system, dt))
         except Exception as err:
             raise RuntimeError(
                 f"stage-1 factorization failed for {self._describe()}: {err}") from err
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The stage-1 matrix, assembled anew on each read: the solver keeps
+        only its factors."""
+        return _step1_matrix(self.system, self.dt)
 
     def _describe(self) -> str:
         ifs = ", ".join(str(c.interface_id) for _, c in self.system.connections)

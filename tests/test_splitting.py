@@ -1,13 +1,16 @@
 import copy
 import dataclasses
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from stokes0d import StepConfig, build_case, cases, params_for, run, splitting
+from stokes0d import StepConfig, build_case, cases, params_for, run, sparse, splitting
 from stokes0d.analysis import energy_report, step1_energy_residual
+from stokes0d.cli import STABILITY_DTS
 from stokes0d.sparse import LUFactorization
 from stokes0d.splitting import CoupledSystem, _dissection_keys
 
@@ -174,6 +177,50 @@ def test_stage1_matrix_matches_block_definition(explicit_pi):
         expected[layout.pi[b]] = -dt / C * q + pi
     got = solver.matrix @ x
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _counting_factorize(monkeypatch):
+    """Record every matrix that `sparse.factorize` is handed."""
+    factored = []
+    real = sparse.factorize
+
+    def counted(a):
+        factored.append(a)
+        return real(a)
+
+    monkeypatch.setattr(sparse, "factorize", counted)
+    return factored
+
+
+@pytest.mark.parametrize("explicit_pi", [False, True])
+def test_a_stage1_solver_keeps_only_its_factors(monkeypatch, explicit_pi):
+    case = coarse_case(2)
+    system = CoupledSystem(case.system.domains, case.system.circuit, explicit_pi)
+    factored = _counting_factorize(monkeypatch)
+    solver = system.step1_solver(0.01)
+    held = [*vars(solver).values(), *vars(solver.factorization).values()]
+    assert not any(sp.issparse(value) for value in held)
+    # read anew, the matrix is the one that was factored, bit for bit
+    (a,) = factored
+    for name in ("indptr", "indices", "data"):
+        assert getattr(solver.matrix, name).tobytes() == getattr(a, name).tobytes(), name
+    assert len(factored) == 1
+
+
+def test_a_system_keeps_the_solvers_of_three_step_sizes(monkeypatch):
+    system = coarse_case(zero_forcing=True, nx=8, ny=2).system
+    factored = _counting_factorize(monkeypatch)
+    solvers = [system.step1_solver(dt) for dt in STABILITY_DTS]
+    assert all(system.step1_solver(dt) is s for dt, s in zip(STABILITY_DTS, solvers))
+    assert len(factored) == 3
+    oldest = weakref.ref(solvers[0])
+    del solvers[0]
+    system.step1_solver(0.01)                 # a fourth dt evicts the oldest
+    assert oldest() is None and len(factored) == 4
+    assert all(system.step1_solver(dt) is s for dt, s in zip(STABILITY_DTS[1:], solvers))
+    assert len(factored) == 4
+    system.step1_solver(STABILITY_DTS[0])     # factored again
+    assert len(factored) == 5
 
 
 def test_step2_preserves_fields_bitwise():
