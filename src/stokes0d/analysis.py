@@ -81,16 +81,15 @@ def kinetic_energy(system, state) -> float:
     return e
 
 
-def energy_report(system, state, dt_fd: float) -> EnergyReport:
-    """The energy terms of one state; `dt_fd` is the time step of the
-    central difference that gives u_ups its -1/2 dU/dt term."""
+def energy_report(system, state) -> EnergyReport:
+    """The energy terms of one state."""
     e_om = kinetic_energy(system, state)
     d_om = 0.0
     for dom, v in zip(system.domains, state.velocities):
         d_om += dom.mu * float(v @ apply_in_range(dom.ops.K.dot, v))
     spec, y = system.circuit, state.y
     e_up = energy(spec, y, state.t)
-    u_up = float(y @ (eval_B(spec, y, state.t, dt_fd) @ y))
+    u_up = float(y @ (eval_B(spec, y, state.t) @ y))
     d_rc = sum((system.resistances * state.flows ** 2).tolist())
     return EnergyReport(e_om, e_up, d_om, d_rc, u_up)
 

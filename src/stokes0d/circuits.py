@@ -77,20 +77,22 @@ class CircuitSpec:
         return self.A(y, t) if callable(self.A) else self.A
 
 
-def eval_B(spec: CircuitSpec, y, t, dt_fd: float) -> np.ndarray:
-    """Dissipation tensor B = -U A - (1/2) dU/dt at the given state.
+# The central-difference step of B's -(1/2) dU/dt term, 1e-6 of the period
+# 2; U is constant or affine in y here, so any step is exact up to round-off.
+DU_DT_STEP = 2e-6
 
-    The dU/dt term is a central difference of step `dt_fd` along the
-    interior dynamics (exactly zero for a constant U).
-    """
-    if dt_fd <= 0:
-        raise ValueError("dt_fd must be positive")
+
+def eval_B(spec: CircuitSpec, y, t) -> np.ndarray:
+    """Dissipation tensor B = -U A - (1/2) dU/dt at the given state, the
+    dU/dt term a central difference of step DU_DT_STEP along the interior
+    dynamics (exactly zero for a constant U)."""
+    h = DU_DT_STEP
     y = np.asarray(y, dtype=float)
     A = spec.matrix(y, t)
     f = A @ y + spec.s(t)
-    up = spec.U(y + dt_fd * f, t + dt_fd)
-    dn = spec.U(y - dt_fd * f, t - dt_fd)
-    return -np.diag(spec.U(y, t)) @ A - 0.5 * np.diag((up - dn) / (2.0 * dt_fd))
+    up = spec.U(y + h * f, t + h)
+    dn = spec.U(y - h * f, t - h)
+    return -np.diag(spec.U(y, t)) @ A - 0.5 * np.diag((up - dn) / (2.0 * h))
 
 
 def weights(spec: CircuitSpec, y, t) -> np.ndarray:

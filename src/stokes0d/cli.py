@@ -155,6 +155,14 @@ def _out_dir(cfg) -> Path:
     return out
 
 
+def _report(cfg, name: str, lines) -> None:
+    """Print a command's report, and write it to `name` under --out if set."""
+    text = "\n".join(lines) + "\n"
+    print(text, end="")
+    if cfg.out:
+        (_out_dir(cfg) / name).write_text(text)
+
+
 def cmd_simulate(cfg) -> int:
     case = build_case(cfg.example, nonlinear=cfg.nonlinear, nx=cfg.nx, ny=cfg.ny,
                       params=parameters(cfg))
@@ -194,10 +202,7 @@ def cmd_convergence(cfg) -> int:
         for dt, _, _, peaks in study.rows:
             peak = peaks[(1, 1, 1)]
             lines.append(f"{_fmt(dt)},{_fmt(peak['P'])},{_fmt(peak['Q'])}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if cfg.out:
-        (_out_dir(cfg) / "convergence.txt").write_text(text)
+    _report(cfg, "convergence.txt", lines)
     return 0
 
 
@@ -207,24 +212,16 @@ def cmd_stability(cfg) -> int:
     s_sub = substeps(cfg)
     case = build_case(cfg.example, nonlinear=False, nx=cfg.nx, ny=cfg.ny,
                       params=parameters(cfg), zero_forcing=True)
+    reports = [stability_run(case, dt, cfg.steps, s_sub=s_sub, explicit_pi=cfg.explicit_pi)
+               for dt in cfg.dt_list]
+    ok = all(rep.passed() for rep in reports)
     lines = ["[stability]", f"example = {cfg.example}", f"steps = {cfg.steps}",
              f"explicit_pi = {str(cfg.explicit_pi).lower()}", "",
              "dt,E0,max_increase,chain_violation,identity_residual,verdict"]
-    ok = True
-    for dt in cfg.dt_list:
-        rep = stability_run(case, dt, cfg.steps, s_sub=s_sub,
-                            explicit_pi=cfg.explicit_pi)
-        passed = rep.passed()
-        ok = ok and passed
-        lines.append(f"{_fmt(dt)},{_fmt(rep.e0)},{_fmt(rep.max_increase)},"
-                     f"{_fmt(rep.chain_violation)},{_fmt(rep.max_identity_residual)},"
-                     f"{'PASS' if passed else 'FAIL'}")
-    lines.append("")
-    lines.append(f"overall = {'PASS' if ok else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if cfg.out:
-        (_out_dir(cfg) / "stability.txt").write_text(text)
+    lines += [f"{_fmt(rep.dt)},{_fmt(rep.e0)},{_fmt(rep.max_increase)},"
+              f"{_fmt(rep.chain_violation)},{_fmt(rep.max_identity_residual)},"
+              f"{'PASS' if rep.passed() else 'FAIL'}" for rep in reports]
+    _report(cfg, "stability.txt", lines + ["", f"overall = {'PASS' if ok else 'FAIL'}"])
     return 0 if ok else 1
 
 
@@ -242,22 +239,12 @@ def cmd_verify_oracle(cfg) -> int:
     import numpy as np
     times = np.linspace(0.0, case.tau, 100, endpoint=False)
     report = verify_exact(case.system, case.exact, times)
-    ok = True
-    lines = []
-    for name, value in report.rows():
-        if name == "weak_form_relative_residual":
-            threshold = WEAK_BAND * report.mesh_h ** 2
-        else:
-            threshold = ORACLE_TOL
-        passed = value <= threshold
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name} = {value:.3e} "
-                     f"(threshold {threshold:.3e})")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if cfg.out:
-        (_out_dir(cfg) / "oracle.txt").write_text(text)
-    return 0 if ok else 1
+    checks = [(name, value, WEAK_BAND * report.mesh_h ** 2
+               if name == "weak_form_relative_residual" else ORACLE_TOL)
+              for name, value in report.rows()]
+    _report(cfg, "oracle.txt", [f"{'PASS' if value <= tol else 'FAIL'} {name} = {value:.3e} "
+                                f"(threshold {tol:.3e})" for name, value, tol in checks])
+    return 0 if all(value <= tol for _, value, tol in checks) else 1
 
 
 # command: (function, the run settings it reads as flags, its own defaults)

@@ -63,9 +63,8 @@ class LUFactorization:
 def _backward_error(a: sp.csr_matrix, x: np.ndarray, b: np.ndarray) -> float:
     """Componentwise backward error max_i |Ax - b|_i / (|A||x| + |b|)_i
     (Oettli-Prager): the smallest relative change of the entries of A and b
-    for which x is an exact solution.  |A| shares A's index arrays, so the
-    check copies only the values of a CSR matrix."""
-    a.sum_duplicates()   # |A| of the summed entries, as abs(a) takes it
+    for which x is an exact solution.  |A| shares the index arrays of A, a
+    canonical CSR matrix, so the check copies only its values."""
     abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
     return float(np.max(np.abs(a @ x - b) / (abs_a @ np.abs(x) + np.abs(b))))
 
@@ -128,9 +127,13 @@ def factorize(a) -> LUFactorization:
 
     Diagonal pivots in the matrix's own numbering are tried first, and
     COLAMD with partial pivoting (scipy's default) is the fallback when they
-    fail their check.  Pivot indices in SingularMatrixError refer to `a`.
+    fail their check.  Pivot indices in SingularMatrixError refer to `a`,
+    whose arrays are never written: a copy is brought to canonical form.
     """
     a = sp.csr_matrix(a)
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
     nr, nc = a.shape
     if nr != nc:
         raise ValueError(f"matrix must be square, got {nr}x{nc}")

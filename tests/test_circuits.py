@@ -14,13 +14,14 @@ from stokes0d import (CircuitSpec, Connection, Example1Params,
                       step2_integrate)
 from stokes0d.circuits import (capacitance_a, energy, resistance_a,
                                resistance_a_prime)
+from stokes0d.params import params_for
 
 EX1_B = np.array([[0.1, -10.0], [-10.0, 2000.0]])
 
 
 def test_eval_B_example1_constant():
     spec = example1_circuit(Example1Params(), nonlinear=False)
-    B = eval_B(spec, np.zeros(2), 0.0, 1e-6)
+    B = eval_B(spec, np.zeros(2), 0.0)
     assert np.allclose(B, EX1_B, rtol=1e-14)
     assert abs(np.linalg.det(B) - 100.0) <= 1e-10
     assert np.all(np.linalg.eigvalsh(0.5 * (B + B.T)) > 0)
@@ -30,7 +31,7 @@ def test_eval_B_zero_dynamics():
     spec = CircuitSpec(2, A=lambda y, t: np.zeros((2, 2)),
                        U=lambda y, t: np.array([1.0, 2.0]),
                        s=lambda t: np.zeros(np.shape(t) + (2,)), connections=())
-    assert np.array_equal(eval_B(spec, np.ones(2), 0.0, 1e-6), np.zeros((2, 2)))
+    assert np.array_equal(eval_B(spec, np.ones(2), 0.0), np.zeros((2, 2)))
 
 
 def test_eval_B_finite_difference_matches_analytic():
@@ -47,11 +48,14 @@ def test_eval_B_finite_difference_matches_analytic():
     spec = CircuitSpec(2, A, U, s, ())
     y = np.array([0.3, -0.7])
     Ba = -np.diag(U(y, 0.4)) @ A(y, 0.4) - 0.5 * np.diag(dU(y, 0.4))
-    Bf = eval_B(spec, y, 0.4, dt_fd=1e-6)
+    Bf = eval_B(spec, y, 0.4)
     assert np.max(np.abs(Ba - Bf)) <= 1e-8
-    # without its step the -1/2 dU/dt term would be silently dropped
-    with pytest.raises(TypeError):
-        eval_B(spec, y, 0.4)
+
+
+def test_du_dt_step_is_a_millionth_of_the_period():
+    # the step the drivers once passed as 1e-6 * tau, bit for bit
+    for example in (1, 2, 3):
+        assert circuits_module.DU_DT_STEP == 1e-6 * params_for(example).tau
 
 
 def test_quadratic_form_example2():
@@ -60,7 +64,7 @@ def test_quadratic_form_example2():
     rng = np.random.default_rng(0)
     for _ in range(10):
         y = rng.standard_normal(3) * [1e3, 1e3, 10.0]
-        B = eval_B(spec, y, 0.0, 1e-6)
+        B = eval_B(spec, y, 0.0)
         expected = p.R_a * y[2] ** 2 + y[1] ** 2 / p.R_b
         assert abs(y @ (B @ y) - expected) <= 1e-10 * max(expected, 1.0)
 
@@ -71,7 +75,7 @@ def test_quadratic_form_example3():
     rng = np.random.default_rng(1)
     for _ in range(10):
         y = rng.standard_normal(3) * [1e3, 1e3, 10.0]
-        B = eval_B(spec, y, 0.0, 1e-6)
+        B = eval_B(spec, y, 0.0)
         expected = y[0] ** 2 / p.R_a + y[1] ** 2 / p.R_b + p.R_c * y[2] ** 2
         assert abs(y @ (B @ y) - expected) <= 1e-10 * max(expected, 1.0)
 

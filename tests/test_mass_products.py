@@ -132,7 +132,7 @@ def test_tiny_velocities_take_the_scaled_products(example, nonlinear):
     d_omega = 0.0
     for dom, w in zip(sys_.domains, tiny):
         d_omega += dom.mu * float(w @ scaled(dom.ops.K, w))
-    assert energy_report(sys_, state, 1e-6 * case.tau).d_omega.hex() == d_omega.hex()
+    assert energy_report(sys_, state).d_omega.hex() == d_omega.hex()
 
 
 @pytest.mark.parametrize("example, nonlinear", CASES)
@@ -174,7 +174,7 @@ def test_stage1_reads_only_the_free_rows_of_a_handed_product(monkeypatch, exampl
 def test_observers_give_the_same_bits_with_and_without_handed_products(example, nonlinear):
     # each state's own M v against M v formed anew from its velocities
     case, records = _records(example, nonlinear, dt=0.25, n_steps=24)
-    sys_, dt_fd = case.system, 1e-6 * case.tau
+    sys_ = case.system
 
     def fresh(state):
         return dataclasses.replace(state, mass_products=tuple(
@@ -186,8 +186,8 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
     for rec in records:
         carried.push(rec.state)
         alone.push(fresh(rec.state))
-        assert _hex(energy_report(sys_, rec.state, dt_fd)) == \
-            _hex(energy_report(sys_, fresh(rec.state), dt_fd))
+        assert _hex(energy_report(sys_, rec.state)) == \
+            _hex(energy_report(sys_, fresh(rec.state)))
         # the stability driver's audit: one kinetic energy of the intermediate
         # state, which stage 2 hands on, and the stage-1 identity
         e_flow = kinetic_energy(sys_, rec.intermediate)
@@ -195,8 +195,8 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
         e_new = e_flow + energy(sys_.circuit, rec.state.y, rec.state.t)
         _, _, rel = step1_energy_residual(sys_, rec.previous, rec.intermediate, 0.25)
         assert [e_mid.hex(), e_new.hex(), rel.hex()] == [
-            energy_report(sys_, fresh(rec.intermediate), dt_fd).total.hex(),
-            energy_report(sys_, fresh(rec.state), dt_fd).total.hex(),
+            energy_report(sys_, fresh(rec.intermediate)).total.hex(),
+            energy_report(sys_, fresh(rec.state)).total.hex(),
             step1_energy_residual(sys_, rec.previous, fresh(rec.intermediate), 0.25)[2].hex()]
     assert [norms for _, norms in carried.kept] == [norms for _, norms in alone.kept]
     # a period of kept states holds no mass products, only their norms

@@ -67,6 +67,22 @@ def test_singular_dense_duplicated_column():
     assert err.value.pivot == 1
 
 
+@pytest.mark.parametrize("read_only", [False, True])
+def test_factorize_leaves_the_callers_arrays_as_they_are(read_only):
+    # duplicate and unsorted entries: [[2 + 1, 1], [4, 3]], summed and
+    # sorted on a copy, never in the arrays the caller handed in
+    arrays = (np.array([2.0, 1.0, 1.0, 3.0, 4.0]), np.array([0, 0, 1, 1, 0], dtype=np.int32),
+              np.array([0, 3, 5], dtype=np.int32))
+    for x in arrays:
+        x.setflags(write=not read_only)
+    before = [x.tobytes() for x in arrays]
+    a = sp.csr_matrix(arrays, shape=(2, 2))
+    x = factorize(a).solve(np.array([1.0, 2.0]))
+    assert [v.tobytes() for v in arrays] == before
+    assert [v.tobytes() for v in (a.data, a.indices, a.indptr)] == before
+    assert np.allclose(x, np.linalg.solve([[3.0, 1.0], [4.0, 3.0]], [1.0, 2.0]), rtol=1e-14)
+
+
 def test_nonsquare_rejected():
     with pytest.raises(ValueError):
         factorize(sp.csr_matrix((2, 3)))

@@ -38,7 +38,7 @@ def step_records(case, dt, n_steps, state=None, s_sub=5):
 
 def total_energy(case, state):
     system = case.system
-    return energy_report(system, state, 1e-6 * case.tau).total
+    return energy_report(system, state).total
 
 
 def test_zero_state_zero_forcing_stays_zero():
@@ -262,7 +262,7 @@ def test_observers_see_each_step():
 
     def obs(record):
         seen.append((record.step, record.state.t, record.state.flows[0],
-                     energy_report(case.system, record.state, 1e-6 * case.tau).total))
+                     energy_report(case.system, record.state).total))
 
     run(case.system, case.initial_state(), StepConfig(0.01, 5), 3, observers=(obs,))
     assert [s[0] for s in seen] == [0, 1, 2]
