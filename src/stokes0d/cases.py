@@ -57,8 +57,6 @@ def _circuit(example, p, exact: ExactSolutionSet, zero_forcing: bool, nonlinear:
 
 @dataclass
 class Case:
-    example: int
-    nonlinear: bool
     params: object
     system: CoupledSystem
     exact: ExactSolutionSet
@@ -109,4 +107,4 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
 
     circuit = _circuit(example, p, exact, zero_forcing, nonlinear)
     system = CoupledSystem(domains, circuit)
-    return Case(example, nonlinear, p, system, exact, DEFAULT_SUBSTEPS[example])
+    return Case(p, system, exact, DEFAULT_SUBSTEPS[example])

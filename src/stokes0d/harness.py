@@ -20,8 +20,7 @@ import numpy as np
 
 from . import circuits, splitting
 from .analysis import (EnergyReport, ErrorReport, chunk_length, convergence_rate,
-                       energy_report, error_norms, kinetic_energy, quadratic_forms,
-                       step1_energy_residual)
+                       energy_report, error_norms, quadratic_forms, step1_energy_residual)
 from .cases import Case
 from .splitting import CoupledState, StepConfig, check_positive
 
@@ -221,16 +220,15 @@ def stability_run(case: Case, dt: float, n_steps: int, s_sub: int | None = None,
     state = case.initial_state()
 
     e = np.empty(2 * n_steps + 1)     # E^0, E^{1/2}, E^1, E^{3/2}, ...
-    e[0] = kinetic_energy(system, state) + circuits.energy(system.circuit, state.y, state.t)
+    e[0] = energy_report(system, state).total
     residuals = np.empty(n_steps)
 
     def on_step(record):
-        mid, new, n = record.intermediate, record.state, record.step
-        residuals[n] = step1_energy_residual(system, record.previous, mid, config.dt)[2]
+        new, n = record.state, record.step
+        report, residuals[n] = step1_energy_residual(system, record, config.dt)
+        e[2 * n + 1] = report.total
         # stage 2 hands the velocities on, so both energies share their kinetic part
-        e_flow = kinetic_energy(system, mid)
-        e[2 * n + 1] = e_flow + circuits.energy(system.circuit, mid.y, mid.t)
-        e[2 * n + 2] = e_flow + circuits.energy(system.circuit, new.y, new.t)
+        e[2 * n + 2] = report.e_omega + circuits.energy(system.circuit, new.y, new.t)
 
     splitting.run(system, state, config, n_steps, observers=(on_step,))
     # np.max, unlike max, propagates NaN, so a run that blows up fails

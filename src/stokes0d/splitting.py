@@ -399,11 +399,13 @@ def step2(system: CoupledSystem, state: CoupledState, dt: float,
 
 @dataclass
 class StepRecord:
-    """Everything observers may want after one global step."""
+    """Everything observers may want after one global step; `loads` is the
+    slice of `stage1_loads` that stage 1 took."""
     step: int
     previous: CoupledState
     intermediate: CoupledState
     state: CoupledState
+    loads: list
 
 
 def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
@@ -423,7 +425,7 @@ def run(system: CoupledSystem, state: CoupledState, config: StepConfig,
             step_loads = [None if c is None else c[k] for c in loads]
             mid = step1(system, state, dt, step_loads)
             new = step2(system, mid, dt, s_sub, sources[k])
-            record = StepRecord(first + k, state, mid, new)
+            record = StepRecord(first + k, state, mid, new, step_loads)
             for obs in observers:
                 obs(record)
             state = new

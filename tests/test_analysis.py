@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from functools import partial
 
 import numpy as np
@@ -19,11 +20,6 @@ def coarse_case(example=1, **kw):
     return build_case(example, **kw)
 
 
-def full_energy_report(case, state):
-    """Every energy term of `state`, u_ups with its -1/2 dU/dt term."""
-    return energy_report(case.system, state)
-
-
 def exact_states(case, times):
     """States of a one-domain case holding the exact fields' nodal
     interpolants and the exact circuit state at each of the times."""
@@ -41,14 +37,14 @@ def exact_states(case, times):
 
 def test_energy_report_zero_state():
     case = coarse_case(zero_forcing=True)
-    rep = full_energy_report(case, case.system.zero_state())
+    rep = energy_report(case.system, case.system.zero_state())
     assert (rep.e_omega, rep.e_ups, rep.d_omega, rep.d_rc, rep.u_ups) \
         == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_energy_report_exact_initial_state():
     case = build_case(1, nx=100, ny=20)
-    rep = full_energy_report(case, case.initial_state())
+    rep = energy_report(case.system, case.initial_state())
     assert abs(rep.e_omega - 60.0) <= 1e-3 * 60.0
 
 
@@ -58,7 +54,7 @@ def test_energy_report_needs_the_difference_step():
     # and 91 040.43 without, so the term is never dropped
     case = coarse_case(1, nonlinear=True, nx=8, ny=2)
     state = case.initial_state()
-    assert abs(full_energy_report(case, state).u_ups - 90241.108237) <= 1e-6 * 90241.1
+    assert abs(energy_report(case.system, state).u_ups - 90241.108237) <= 1e-6 * 90241.1
 
 
 def test_circuit_energy_value():
@@ -196,6 +192,10 @@ def test_convergence_rate_fits():
         convergence_rate([(0.01, 0.1)])
     with pytest.raises(ValueError):
         convergence_rate([(0.01, 0.1), (0.005, -0.1)])
+    # a non-finite dt or error is named, not fitted to nan or passed to LAPACK
+    for pair in [(0.1, np.nan), (0.1, np.inf), (np.nan, 1.0), (np.inf, 1.0)]:
+        with pytest.raises(ValueError, match=re.escape(f"got {pair}")):
+            convergence_rate([pair, (0.05, 1.0)])
 
 
 def test_run_to_periodicity_and_streaming_gap():
@@ -343,10 +343,10 @@ def test_energy_report_fails_where_the_circuit_energy_stops_being_a_norm():
     case = coarse_case(1, nonlinear=True, zero_forcing=True)
     system = case.system
     start = dataclasses.replace(system.zero_state(), y=np.array([-1887.0, -0.167]))
-    reports = [full_energy_report(case, start)]
+    reports = [energy_report(system, start)]
 
     def observe(record):
-        reports.append(full_energy_report(case, record.state))
+        reports.append(energy_report(system, record.state))
 
     with pytest.raises(ValueError, match=r"^U\[1\] = -5\.52 is not positive at t=0\.008:"):
         run(system, start, StepConfig(1e-3, case.s_sub), 50, observers=(observe,))
@@ -378,14 +378,13 @@ def test_stability_run_matches_full_energy_reports(unforced_20x4, key, dt, expli
     system = CoupledSystem(case.system.domains, case.system.circuit, explicit_pi)
     n_steps = 60
     state = case.initial_state()
-    e0 = full_energy_report(case, state).total
+    e0 = energy_report(case.system, state).total
     fold = {"e_prev": e0, "inc": -np.inf, "chain": -np.inf, "resid": 0.0}
 
     def audit(record):
-        e_mid = full_energy_report(case, record.intermediate).total
-        e_new = full_energy_report(case, record.state).total
-        _, _, rel = step1_energy_residual(case.system, record.previous,
-                                          record.intermediate, dt)
+        e_mid = energy_report(case.system, record.intermediate).total
+        e_new = energy_report(case.system, record.state).total
+        _, rel = step1_energy_residual(case.system, record, dt)
         fold["inc"] = float(np.max([fold["inc"], e_new - fold["e_prev"]]))
         fold["chain"] = float(np.max([fold["chain"], e_mid - fold["e_prev"],
                                       e_new - e_mid]))

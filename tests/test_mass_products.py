@@ -4,7 +4,8 @@ with the velocities, and stage 1, the period tracker, the series and the
 stability audit read it from the state, each giving the bits it gives with
 M v formed anew.  A step with series makes five sparse products: the new
 state's M v (stage 1), the tracker's M d, Mp d and Mp prev, and the series'
-K v."""
+K v; a stability step makes two per domain: stage 1's M v and the K v of
+the report that the stability audit reads."""
 import dataclasses
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 import scipy.sparse._sparsetools as sparsetools
 
 from stokes0d import StepConfig, analysis, build_case, run, splitting
-from stokes0d.analysis import energy_report, kinetic_energy, step1_energy_residual
+from stokes0d.analysis import energy_report, step1_energy_residual
 from stokes0d.circuits import energy
-from stokes0d.harness import _PeriodTracker, run_to_periodicity
+from stokes0d.harness import _PeriodTracker, run_to_periodicity, stability_run
 
 CASES = [(1, True), (2, False), (3, False)]
 
@@ -188,16 +189,16 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
         alone.push(fresh(rec.state))
         assert _hex(energy_report(sys_, rec.state)) == \
             _hex(energy_report(sys_, fresh(rec.state)))
-        # the stability driver's audit: one kinetic energy of the intermediate
-        # state, which stage 2 hands on, and the stage-1 identity
-        e_flow = kinetic_energy(sys_, rec.intermediate)
-        e_mid = e_flow + energy(sys_.circuit, rec.intermediate.y, rec.intermediate.t)
-        e_new = e_flow + energy(sys_.circuit, rec.state.y, rec.state.t)
-        _, _, rel = step1_energy_residual(sys_, rec.previous, rec.intermediate, 0.25)
-        assert [e_mid.hex(), e_new.hex(), rel.hex()] == [
+        # the stability driver's audit: the stage-1 identity on the energy
+        # report of the intermediate state, whose kinetic energy stage 2
+        # hands on to the new state
+        report, rel = step1_energy_residual(sys_, rec, 0.25)
+        e_new = report.e_omega + energy(sys_.circuit, rec.state.y, rec.state.t)
+        anew = dataclasses.replace(rec, intermediate=fresh(rec.intermediate))
+        assert [report.total.hex(), e_new.hex(), rel.hex()] == [
             energy_report(sys_, fresh(rec.intermediate)).total.hex(),
             energy_report(sys_, fresh(rec.state)).total.hex(),
-            step1_energy_residual(sys_, rec.previous, fresh(rec.intermediate), 0.25)[2].hex()]
+            step1_energy_residual(sys_, anew, 0.25)[1].hex()]
     assert [norms for _, norms in carried.kept] == [norms for _, norms in alone.kept]
     # a period of kept states holds no mass products, only their norms
     assert all(state.mass_products is None for state, _ in carried.kept)
@@ -206,12 +207,9 @@ def test_observers_give_the_same_bits_with_and_without_handed_products(example, 
         {p: g.hex() for p, g in alone.gaps.items()}
 
 
-def test_a_step_with_series_makes_five_sparse_products(monkeypatch):
-    # nonlinear benchmark 1 with series: M v of the new state (run), the
-    # tracker's M d, Mp d and Mp prev, and the series' K v; each period's
-    # run is handed M v of its start state, the last record's.  The tracker
-    # forms its products a chunk of states at a time, so each column of a
-    # multi-vector product counts as one product
+def _count_sparse_products(monkeypatch) -> list:
+    """A list that scipy's sparse matrix-vector products append to from
+    now on, each column of a multi-vector product counting as one."""
     calls = []
     real_one, real_several = sparsetools.csr_matvec, sparsetools.csr_matvecs
 
@@ -223,14 +221,24 @@ def test_a_step_with_series_makes_five_sparse_products(monkeypatch):
         calls.append(args[2])       # n_vecs
         return real_several(*args)
 
+    monkeypatch.setattr(sparsetools, "csr_matvec", one)
+    monkeypatch.setattr(sparsetools, "csr_matvecs", several)
+    return calls
+
+
+def test_a_step_with_series_makes_five_sparse_products(monkeypatch):
+    # nonlinear benchmark 1 with series: M v of the new state (run), the
+    # tracker's M d, Mp d and Mp prev, and the series' K v; each period's
+    # run is handed M v of its start state, the last record's.  The tracker
+    # forms its products a chunk of states at a time, so each column of a
+    # multi-vector product counts as one product
     def mark(record):
         per_step.append(sum(calls))
         calls.clear()
 
     case = build_case(1, nonlinear=True, nx=8, ny=2)
     longest = case.system.domains[0].space.n_velocity
-    monkeypatch.setattr(sparsetools, "csr_matvec", one)
-    monkeypatch.setattr(sparsetools, "csr_matvecs", several)
+    calls = _count_sparse_products(monkeypatch)
     for chunk in (1, 3, 8):
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 8 * longest * chunk)
         per_step = []
@@ -244,3 +252,21 @@ def test_a_step_with_series_makes_five_sparse_products(monkeypatch):
         assert sum(per_step[n_tau:]) == 5 * n_tau
         if chunk == 1:
             assert per_step[1:] == [2] * (n_tau - 2) + [5] * (n_tau + 1)
+
+
+@pytest.mark.parametrize("example, nonlinear", CASES)
+def test_a_stability_step_makes_two_sparse_products_per_domain(monkeypatch, example,
+                                                              nonlinear):
+    # M v of the intermediate state (stage 1) and K v of its energy report,
+    # which both the stage-1 identity and the energy chain read: steps 5 to
+    # 8 of a run of 8, counted against a run of 4 so that the start's
+    # products cancel, on a solver factored before the count
+    case = build_case(example, nonlinear=nonlinear, nx=8, ny=2, zero_forcing=True)
+    case.system.step1_solver(0.1)
+    calls = _count_sparse_products(monkeypatch)
+    counts = []
+    for n_steps in (4, 8):
+        calls.clear()
+        stability_run(case, 0.1, n_steps)
+        counts.append(sum(calls))
+    assert counts[1] - counts[0] == 4 * 2 * len(case.system.domains)

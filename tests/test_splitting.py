@@ -96,9 +96,9 @@ def test_step1_flow_direction_from_circuit_pressure():
     y = zero.y.copy()
     y[0] = 100.0
     state = dataclasses.replace(zero, y=y)
-    mid = step_records(case, 0.01, 1, state)[0].intermediate
-    assert mid.flows[0] < 0.0
-    _, _, rel = step1_energy_residual(case.system, state, mid, 0.01)
+    rec, = step_records(case, 0.01, 1, state)
+    assert rec.intermediate.flows[0] < 0.0
+    _, rel = step1_energy_residual(case.system, rec, 0.01)
     assert rel <= 1e-8
 
 
@@ -109,7 +109,7 @@ def test_step1_energy_identity_with_forcing(example, nonlinear):
     # benchmark 1's one and benchmark 2's two external sides, the traction
     case = coarse_case(example, nonlinear=nonlinear)
     for rec in step_records(case, 0.01, 5):
-        _, _, rel = step1_energy_residual(case.system, rec.previous, rec.intermediate, 0.01)
+        _, rel = step1_energy_residual(case.system, rec, 0.01)
         assert rel <= 1e-8
 
 
@@ -137,7 +137,7 @@ def test_step1_identity_and_solve_accuracy_any_scaling(example, log_rho, log_mu,
 
     with mock.patch.object(LUFactorization, "solve", recording_solve):
         rec, = step_records(case, dt, 1, s_sub=case.s_sub)
-    _, _, rel = step1_energy_residual(case.system, rec.previous, rec.intermediate, dt)
+    _, rel = step1_energy_residual(case.system, rec, dt)
     assert rel <= 1e-8
     (rhs, x), = solves
     assert normwise_backward_error(solver.matrix, x, rhs) <= 1e-12
