@@ -11,7 +11,7 @@ Geometry of the channels (walls top and bottom in all cases):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from . import circuits as circ
 from . import mesh as msh
 from .exact import ExactSolutionSet, exact_for
-from .fem import (TimeSeparable, assemble_body_force, assemble_operators, build_space,
-                  interpolate_pressure, interpolate_velocity)
+from .fem import (TimeSeparable, _boundary_functionals, assemble_body_force,
+                  assemble_operators, build_space, interpolate_pressure, interpolate_velocity)
 from .params import params_for
 from .splitting import CoupledState, CoupledSystem, Domain, read_only
 
@@ -97,7 +97,10 @@ def build_case(example: int, *, nonlinear: bool = False, nx: int = 100, ny: int 
         layout = {"left": left, "right": right, "top": msh.wall(), "bottom": msh.wall()}
         mesh = msh.build_rect_mesh(msh.RectDomain(p.L, p.H), nx, ny, layout)
         space = build_space(mesh)
-        ops = assemble_operators(space)
+        # the channels differ only in their side tags: a later one shares the
+        # first one's matrices and forms its own boundary functionals
+        ops = (replace(domains[0].ops, **_boundary_functionals(space)) if domains
+               else assemble_operators(space))
         body_load = None
         if not zero_forcing:
             rho = p.rho

@@ -21,6 +21,7 @@ The functions map functions of space to vectors; time enters only through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,6 +87,13 @@ class StokesSpace:
     def vdof(self, node, component):
         return component * self.n_scalar + np.asarray(node)
 
+    @cached_property
+    def _element_dofs(self) -> np.ndarray:
+        """(T, 6) per-element scalar quadratic node indices, formed once for
+        the operators and every load."""
+        return np.hstack([self.mesh.triangles,
+                          self.mesh.n_vertices + self.mesh.triangle_edges()])
+
     def node_grid(self) -> np.ndarray:
         """(n_scalar, 2) index of each quadratic node on the grid of half
         cells: the vertex in column i and row j of the distinct vertex
@@ -137,20 +145,28 @@ def _element_geometry(mesh: TriangleMesh):
     return p, J, detJ, invJT
 
 
-def _scalar_dofs(mesh: TriangleMesh):
-    """(T, 6) per-element scalar quadratic node indices."""
-    return np.hstack([mesh.triangles, mesh.n_vertices + mesh.triangle_edges()])
-
-
 def _scatter(rows, cols, vals, shape):
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+
+def _contract(A, B):
+    """sum_b A[..., b] B[..., b], by broadcasting: the bits of a two-operand
+    einsum over a length-2 axis, without its loop."""
+    return A[..., 0] * B[..., 0] + A[..., 1] * B[..., 1]
+
+
+def _two_blocks(A: sp.csr_matrix) -> sp.csr_matrix:
+    """[[A, 0], [0, A]] from A's own arrays: sp.block_diag's CSR, bit for bit."""
+    n = A.shape[0]
+    arrays = (A.data, A.data), (A.indices, A.indices + n), (A.indptr, A.indptr[1:] + A.nnz)
+    return sp.csr_matrix(tuple(map(np.concatenate, arrays)), shape=(2 * n, 2 * n))
 
 
 def assemble_operators(space: StokesSpace) -> AssembledOperators:
     ns, nv, npr = space.n_scalar, space.n_velocity, space.n_pressure
     mesh = space.mesh
     p, J, detJ, invJT = _element_geometry(mesh)
-    sdof = _scalar_dofs(mesh)
+    sdof = space._element_dofs
 
     # mass: affine map, so the element matrix is detJ times a reference block
     q4, w4 = triangle_rule(4)
@@ -161,7 +177,7 @@ def assemble_operators(space: StokesSpace) -> AssembledOperators:
     q2, w2 = triangle_rule(2)
     dphi2 = p2_grads(q2)
     # physical gradients: (T, 6, 2, nq)
-    G = np.einsum("tab,ibq->tiaq", invJT, dphi2)
+    G = _contract(invJT[:, None, :, None, :], np.moveaxis(dphi2, 1, -1)[None, :, None])
     Ke = np.einsum("tiaq,tjaq,q->tij", G, G, w2) * detJ[:, None, None]
 
     psi2 = p1_basis(q2)
@@ -173,10 +189,8 @@ def assemble_operators(space: StokesSpace) -> AssembledOperators:
 
     ir = np.repeat(sdof, 6, axis=1)
     ic = np.tile(sdof, (1, 6))
-    Ms = _scatter(ir, ic, Me, (ns, ns))
-    Ks = _scatter(ir, ic, Ke, (ns, ns))
-    M = sp.block_diag((Ms, Ms), format="csr")
-    K = sp.block_diag((Ks, Ks), format="csr")
+    M = _two_blocks(_scatter(ir, ic, Me, (ns, ns)))
+    K = _two_blocks(_scatter(ir, ic, Ke, (ns, ns)))
 
     pr = np.repeat(mesh.triangles, 6, axis=1)
     pcx = np.tile(sdof, (1, 3))
@@ -187,43 +201,51 @@ def assemble_operators(space: StokesSpace) -> AssembledOperators:
     qc = np.tile(mesh.triangles, (1, 3))
     Mp = _scatter(qr, qc, Mpe, (npr, npr))
 
-    flux = {}
-    for iid in mesh.interface_ids():
-        eids = mesh.edges_with_kind(TagKind.INTERFACE, iid)
-        flux[iid] = boundary_flux_vector(space, eids)
-    sigma_edges = mesh.edges_with_kind(TagKind.NEUMANN_EXTERNAL)
-    sigma = boundary_flux_vector(space, sigma_edges)
+    return AssembledOperators(M, K, D, Mp, **_boundary_functionals(space))
 
-    return AssembledOperators(M, K, D, Mp, flux, sigma)
+
+def _boundary_functionals(space: StokesSpace) -> dict:
+    """The operators' fields that depend on the boundary tags, not on the
+    geometry: each interface's flux functional, by interface id, and the
+    external side's sigma."""
+    mesh = space.mesh
+    return {"flux": {iid: boundary_flux_vector(space, mesh.edges_with_kind(TagKind.INTERFACE, iid))
+                     for iid in mesh.interface_ids()},
+            "sigma": boundary_flux_vector(space, mesh.edges_with_kind(TagKind.NEUMANN_EXTERNAL))}
+
+
+def _edge_trace_weights():
+    """Integrals over [0, 1] of the quadratic trace's end and midpoint shape
+    functions, by the 3-point Gauss rule."""
+    s, w = edge_rule(3)
+    return np.array([N @ w for N in ((1.0 - s) * (1.0 - 2.0 * s), s * (2.0 * s - 1.0),
+                                     4.0 * s * (1.0 - s))])
+
+
+_EDGE_TRACE_WEIGHTS = _edge_trace_weights()
 
 
 def boundary_flux_vector(space: StokesSpace, edge_ids) -> np.ndarray:
     """Functional u -> integral of u . n over the given boundary edges,
     with n the outward normal (rectangle domains: points away from center).
+    Each dof sums its edges' terms in the order of `edge_ids`.
     """
-    mesh = space.mesh
-    out = np.zeros(space.n_velocity)
     if len(edge_ids) == 0:
-        return out
-    sq, sw = edge_rule(3)
-    # quadratic trace on an edge in the local coordinate s
-    Na = (1.0 - sq) * (1.0 - 2.0 * sq)
-    Nb = sq * (2.0 * sq - 1.0)
-    Nm = 4.0 * sq * (1.0 - sq)
-    wts = np.array([Na @ sw, Nb @ sw, Nm @ sw])
+        return np.zeros(space.n_velocity)    # bincount would return integers
+    mesh = space.mesh
+    eids = np.asarray(edge_ids, dtype=np.intp)
+    a, b = mesh.edges[eids].T
+    pa, pb = mesh.vertices[a], mesh.vertices[b]
+    tvec = pb - pa
+    length = np.hypot(tvec[:, 0], tvec[:, 1])
+    n = np.column_stack([tvec[:, 1], -tvec[:, 0]]) / length[:, None]
     center = np.array([0.5 * mesh.domain.length, 0.0])
-    for eid in edge_ids:
-        a, b = mesh.edges[eid]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        tvec = pb - pa
-        length = float(np.hypot(*tvec))
-        n = np.array([tvec[1], -tvec[0]]) / length
-        if np.dot(0.5 * (pa + pb) - center, n) < 0:
-            n = -n
-        nodes = np.array([a, b, mesh.n_vertices + eid])
-        for c in range(2):
-            out[space.vdof(nodes, c)] += n[c] * wts * length
-    return out
+    n[_contract(0.5 * (pa + pb) - center, n) < 0] *= -1.0
+    nodes = np.column_stack([a, b, mesh.n_vertices + eids])
+    # (edges, component, node) terms, summed per dof in edge order
+    terms = n[:, :, None] * _EDGE_TRACE_WEIGHTS * length[:, None, None]
+    dofs = space.vdof(nodes[:, None, :], np.arange(2)[None, :, None])
+    return np.bincount(dofs.ravel(), terms.ravel(), minlength=space.n_velocity)
 
 
 def assemble_body_force(space: StokesSpace, f) -> np.ndarray:
@@ -238,14 +260,12 @@ def assemble_body_force(space: StokesSpace, f) -> np.ndarray:
     p, J, detJ, _ = _element_geometry(space.mesh)
     phi = p2_basis(q)
     # physical quadrature points, (T, nq, 2)
-    Xq = p[:, None, 0, :] + np.einsum("tab,qb->tqa", J, q)
+    Xq = p[:, None, 0, :] + _contract(J[:, None], q[None, :, None])
     fv = np.asarray(f(Xq.reshape(-1, 2)), dtype=float).reshape(len(p), len(q), 2)
-    sdof = _scalar_dofs(space.mesh)
-    out = np.zeros(space.n_velocity)
-    for c in range(2):
-        fe = np.einsum("tq,iq,q->ti", fv[:, :, c], phi, w) * detJ[:, None]
-        np.add.at(out, space.vdof(sdof, c), fe)
-    return out
+    sdof = space._element_dofs
+    fe = [np.einsum("tq,iq,q->ti", fv[:, :, c], phi, w) * detJ[:, None] for c in range(2)]
+    return np.bincount(space.vdof(sdof, np.arange(2)[:, None, None]).ravel(),
+                       np.ravel(fe), minlength=space.n_velocity)
 
 
 class TimeSeparable:

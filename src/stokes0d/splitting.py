@@ -250,8 +250,7 @@ def _step1_matrix(system: CoupledSystem, dt: float) -> sp.csr_matrix:
     for d, dom in enumerate(system.domains):
         free = dom.space.free
         vel, prs = layout.velocity[d], layout.pressure[d]
-        Mff, Kff = (A.tocsr()[free][:, free] for A in (dom.ops.M, dom.ops.K))
-        Avv = ((dom.rho / dt) * Mff + dom.mu * Kff).tocoo()
+        Avv = ((dom.rho / dt) * dom.ops.M + dom.mu * dom.ops.K)[free][:, free].tocoo()
         blocks.append((vel[Avv.row], vel[Avv.col], Avv.data))
         Df = dom.ops.D.tocsr()[:, free].tocoo()
         blocks.append((prs[Df.row], vel[Df.col], Df.data))      # continuity

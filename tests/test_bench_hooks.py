@@ -80,6 +80,24 @@ def test_every_traced_run_phase_is_called():
     assert {name for name, _ in spans.RUN_METRICS.values()} - opened == set()
 
 
+def test_every_traced_setup_phase_is_called():
+    # the same for the set-up: a forced and an unforced build_case, then a
+    # stage-1 solver inside the span the benchmark opens around it, must open
+    # every span that a set-up metric reads (build_case is looked up through
+    # its module, as the benchmark's set-up does)
+    from stokes0d import cases
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        cases.build_case(1, nx=8, ny=2, zero_forcing=True)
+        case = cases.build_case(1, nx=8, ny=2)
+        with tracer.span("splitting.step1_solver"):
+            case.system.step1_solver(0.01)
+    assert tracer.missing == []
+    opened = {span[0] for span in tracer.spans}
+    assert {name for name, _ in spans.SETUP_METRICS.values()} - opened == set()
+
+
 def test_drivers_call_run_through_the_splitting_module(monkeypatch):
     # the benchmark times the stability-sweep steps by patching
     # splitting.run, so the drivers must look it up there on every call, and
